@@ -28,18 +28,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-
 #include "buffer/buffer_manager.h"
 #include "disk/volume.h"
+#include "reference_rows.h"
 
 namespace starfish {
 namespace {
@@ -326,42 +323,20 @@ void WriteJson(const std::vector<BenchResult>& results, const char* path) {
   std::fclose(f);
 }
 
-/// Minimal reader for the JSON this binary writes: one benchmark object per
-/// line with "name" and "ns_per_op" keys. Returns name -> ns_per_op.
-std::map<std::string, double> ReadReference(const std::string& path) {
-  std::map<std::string, double> out;
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_hotpath_buffer: cannot read %s\n",
-                 path.c_str());
-    std::exit(1);
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t name_key = line.find("\"name\": \"");
-    const size_t ns_key = line.find("\"ns_per_op\": ");
-    if (name_key == std::string::npos || ns_key == std::string::npos) continue;
-    const size_t name_start = name_key + std::strlen("\"name\": \"");
-    const size_t name_end = line.find('"', name_start);
-    if (name_end == std::string::npos) continue;
-    out[line.substr(name_start, name_end - name_start)] =
-        std::atof(line.c_str() + ns_key + std::strlen("\"ns_per_op\": "));
-  }
-  return out;
-}
-
 /// The CI perf gate: compares ns/op against the reference, fails on
 /// regressions beyond `max_regress_pct`. Benchmarks present on one side
-/// only are reported but do not fail the gate.
+/// only are reported but do not fail the gate — unless NO benchmark found
+/// its reference row, which would make the gate pass vacuously.
 int Compare(const std::vector<BenchResult>& results,
             const std::string& reference_path, double max_regress_pct) {
-  const std::map<std::string, double> reference =
-      ReadReference(reference_path);
+  const std::map<std::string, double> reference = bench::ReadReferenceRows(
+      "bench_hotpath_buffer", reference_path, {"name"}, "ns_per_op");
   std::printf("\nperf gate vs %s (fail above +%.0f%% ns/op)\n",
               reference_path.c_str(), max_regress_pct);
   std::printf("%-26s %12s %12s %9s\n", "benchmark", "ref ns/op", "now ns/op",
               "delta");
   int failures = 0;
+  size_t compared = 0;
   for (const BenchResult& r : results) {
     auto it = reference.find(r.name);
     if (it == reference.end()) {
@@ -369,6 +344,7 @@ int Compare(const std::vector<BenchResult>& results,
                   "new");
       continue;
     }
+    ++compared;
     const double delta_pct = (r.ns_per_op - it->second) / it->second * 100.0;
     const bool fail = delta_pct > max_regress_pct;
     std::printf("%-26s %12.2f %12.2f %+8.1f%%%s\n", r.name.c_str(),
@@ -382,6 +358,12 @@ int Compare(const std::vector<BenchResult>& results,
     if (!measured) {
       std::printf("%-26s %12.2f %12s %9s\n", name.c_str(), ns, "-", "gone");
     }
+  }
+  if (compared == 0) {
+    std::fprintf(stderr,
+                 "bench_hotpath_buffer: no benchmark matches a row of %s\n",
+                 reference_path.c_str());
+    return 1;
   }
   if (failures > 0) {
     std::fprintf(stderr,

@@ -20,15 +20,12 @@
 //                                  work per fix), not to pretend locks are
 //                                  free.
 //
-// --backend direct (PR 8) replaces the page-cache rows with the device
-// rows that motivated the per-thread-ring rework: 1/2/4/8 threads each
-// keep a pipeline of chained 8-page reads in flight through
-// SubmitReadChained/CompleteRead, once with per-thread io_uring rings and
-// once with the pre-rework single-ring-mutex baseline
-// (DirectVolumeOptions::RingMode::kShared). The aggregate pages/sec of
-// per-thread at >= 4 threads against the shared-mutex rows is the
-// acceptance number of the rework. Skip-tolerant: on a filesystem without
-// O_DIRECT the binary records "direct_skipped": true and exits 0.
+// --backend direct replaces the page-cache rows with device rows: 1/2/4/8
+// threads each keep a pipeline of chained 8-page reads in flight through
+// SubmitReadChained/CompleteRead over their own io_uring rings. The
+// aggregate pages/sec as threads grow is the per-thread-ring scaling.
+// Skip-tolerant: on a filesystem without O_DIRECT the binary records
+// "direct_skipped": true and exits 0.
 //
 // Writes BENCH_mt_read.json (BENCH_mt_read_mmap.json for --backend mmap,
 // BENCH_mt_read_direct.json for --backend direct).
@@ -43,8 +40,9 @@
 //                          the unlocked row at --max-regress (default 25),
 //                          the locked row at --max-locked-overhead
 //                          (default 700).
-//   --min-speedup          fail unless hit-path ops/sec at 8 threads is at
-//                          least X times the 1-thread row. Off by default:
+//   --min-speedup          fail unless hit-path ops/sec (direct: pages/sec)
+//                          at 8 threads is at least X times the 1-thread
+//                          row. Off by default:
 //                          speedup is a property of the machine's core
 //                          count, so CI asserts it only where cores exist.
 
@@ -69,6 +67,7 @@
 #include "core/complex_object_store.h"
 #include "disk/direct_volume.h"
 #include "disk/volume.h"
+#include "reference_rows.h"
 #include "util/aligned_buffer.h"
 #include "util/random.h"
 
@@ -333,20 +332,13 @@ BenchResult BenchStoreGet(uint32_t threads,
 
 // Direct-backend ring rows: raw device read throughput through the async
 // submit/complete split, no buffer pool in the way. Each thread pipelines
-// kInFlight chained 8-page batches (the DASDBS fetch shape) over its own
-// ring — or over the one mutex-serialized ring in the kShared baseline.
-// The per-thread rows must pull ahead of the shared rows as threads grow:
-// that gap is what the rework bought.
-BenchResult BenchDirectChained(uint32_t threads, bool shared_ring,
-                               const std::string& dir) {
+// kInFlight chained 8-page batches (the DASDBS fetch shape) over its ring.
+BenchResult BenchDirectChained(uint32_t threads, const std::string& dir) {
   constexpr uint32_t kObjPages = 8;
   constexpr uint32_t kInFlight = 4;
   constexpr uint32_t kBatchesPerThread = 512;  // 16 MiB read per thread
 
-  DirectVolumeOptions ring;
-  ring.ring_mode = shared_ring ? DirectVolumeOptions::RingMode::kShared
-                               : DirectVolumeOptions::RingMode::kPerThread;
-  auto disk_or = DirectVolume::Open(dir, DiskOptions{4096, 4u << 20}, ring);
+  auto disk_or = DirectVolume::Open(dir, DiskOptions{4096, 4u << 20});
   if (!disk_or.ok()) Fatal("reopen direct volume", disk_or.status());
   auto disk = std::move(disk_or).value();
   const uint32_t page = disk->page_size();
@@ -392,9 +384,7 @@ BenchResult BenchDirectChained(uint32_t threads, bool shared_ring,
   });
 
   BenchResult r;
-  r.name = std::string("mt_dio_chained_") +
-           (shared_ring ? "shared" : "perthread") + "_t" +
-           std::to_string(threads);
+  r.name = "mt_dio_chained_perthread_t" + std::to_string(threads);
   r.threads = threads;
   r.total_ops = static_cast<uint64_t>(threads) * kBatchesPerThread * kObjPages;
   r.ops_per_sec = static_cast<double>(r.total_ops) / seconds;  // pages/sec
@@ -424,26 +414,6 @@ void WriteJson(const std::vector<BenchResult>& results, const char* path) {
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-}
-
-/// ns_per_op of one benchmark in a JSON file this binary or
-/// bench_hotpath_buffer writes; exits if absent.
-double ReadReferenceRow(const std::string& path, const std::string& name) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "bench_mt_read: cannot read %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::string line;
-  while (std::getline(in, line)) {
-    const size_t name_key = line.find("\"name\": \"" + name + "\"");
-    const size_t ns_key = line.find("\"ns_per_op\": ");
-    if (name_key == std::string::npos || ns_key == std::string::npos) continue;
-    return std::atof(line.c_str() + ns_key + std::strlen("\"ns_per_op\": "));
-  }
-  std::fprintf(stderr, "bench_mt_read: no '%s' row in %s\n", name.c_str(),
-               path.c_str());
-  std::exit(1);
 }
 
 const BenchResult& FindRow(const std::vector<BenchResult>& results,
@@ -506,9 +476,9 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency(), kShards);
 
   if (g_backend == VolumeKind::kDirect) {
-    // Device rows only: per-thread rings vs the single-ring-mutex
-    // baseline, raw SubmitReadChained pipelines, no buffer pool. The
-    // page-cache rows of the other backends would just measure memcpy.
+    // Device rows only: per-thread rings, raw SubmitReadChained pipelines,
+    // no buffer pool. The page-cache rows of the other backends would just
+    // measure memcpy.
     const std::string dir =
         (std::filesystem::temp_directory_path() /
          ("starfish_bench_mt_dio_" + std::to_string(::getpid())))
@@ -548,10 +518,8 @@ int main(int argc, char** argv) {
     }
 
     std::vector<BenchResult> rows;
-    for (const bool shared : {true, false}) {
-      for (uint32_t t : kThreadCounts) {
-        rows.push_back(BenchDirectChained(t, shared, dir));
-      }
+    for (uint32_t t : kThreadCounts) {
+      rows.push_back(BenchDirectChained(t, dir));
     }
     {
       std::error_code ec;
@@ -564,29 +532,22 @@ int main(int argc, char** argv) {
       std::printf("%-30s %8u %14.0f %12.2f\n", r.name.c_str(), r.threads,
                   r.ops_per_sec, r.ns_per_op);
     }
-    const double shared4 =
-        FindRow(rows, "mt_dio_chained_shared_t4").ops_per_sec;
-    const double perthread4 =
-        FindRow(rows, "mt_dio_chained_perthread_t4").ops_per_sec;
-    const double shared1 =
-        FindRow(rows, "mt_dio_chained_shared_t1").ops_per_sec;
+    const double perthread1 =
+        FindRow(rows, "mt_dio_chained_perthread_t1").ops_per_sec;
     const double perthread8 =
         FindRow(rows, "mt_dio_chained_perthread_t8").ops_per_sec;
-    std::printf("\nper-thread vs shared-mutex at 4 threads: %.2fx\n",
-                perthread4 / shared4);
-    std::printf("per-thread t8 vs shared-mutex t1 baseline: %.2fx\n",
-                perthread8 / shared1);
+    std::printf("\nper-thread-ring speedup t8/t1: %.2fx\n",
+                perthread8 / perthread1);
     WriteJson(rows, "BENCH_mt_read_direct.json");
     std::printf("wrote BENCH_mt_read_direct.json\n");
-    int failures = 0;
-    if (min_speedup > 0.0 && perthread4 / shared4 < min_speedup) {
+    if (min_speedup > 0.0 && perthread8 / perthread1 < min_speedup) {
       std::fprintf(stderr,
-                   "bench_mt_read: per-thread-ring speedup %.2fx at 4 "
-                   "threads below required %.2fx\n",
-                   perthread4 / shared4, min_speedup);
-      ++failures;
+                   "bench_mt_read: per-thread-ring speedup %.2fx below "
+                   "required %.2fx\n",
+                   perthread8 / perthread1, min_speedup);
+      return 1;
     }
-    return failures > 0 ? 1 : 0;
+    return 0;
   }
 
   std::vector<BenchResult> results;
@@ -632,8 +593,15 @@ int main(int argc, char** argv) {
 
   int failures = 0;
   if (!compare_hotpath.empty()) {
-    const double ref =
-        ReadReferenceRow(compare_hotpath, "buffer_fix_hit_cycle64");
+    const std::map<std::string, double> reference = bench::ReadReferenceRows(
+        "bench_mt_read", compare_hotpath, {"name"}, "ns_per_op");
+    const auto ref_row = reference.find("buffer_fix_hit_cycle64");
+    if (ref_row == reference.end()) {
+      std::fprintf(stderr, "bench_mt_read: no 'buffer_fix_hit_cycle64' row "
+                   "in %s\n", compare_hotpath.c_str());
+      return 1;
+    }
+    const double ref = ref_row->second;
     struct GateRow {
       const char* name;
       double bound_pct;

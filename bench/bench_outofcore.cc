@@ -6,7 +6,7 @@
 // against hardware. This bench scales a volume past the buffer pool (and
 // ideally past memory), replays Table 5/6-style access mixes over the mmap
 // and O_DIRECT backends, and reports modelled-vs-measured milliseconds per
-// mix — the column that validates (or falsifies) TimedVolume's model.
+// mix — the column that validates (or falsifies) the Equation-1 model.
 //
 // Access mixes (shaped after the paper's storage models' I/O patterns):
 //   seq_scan_run32      sequential scan, 32-page prefetch runs (query 3)
@@ -32,15 +32,14 @@
 // point of the backend. The buffer pool is always sized at 1/16 of the
 // data, so pool misses are real in every configuration.
 //
-// PR 8 additions (the per-thread-ring rework, proven end to end):
+// Further sections:
 //
 //   --threads K     per-thread-scaling section over the direct backend:
 //                   1/2/4/8 concurrent submitters (capped at K), each
 //                   running its own completion-driven PrefetchStream over
-//                   ONE shared sharded buffer pool, once with per-thread
-//                   io_uring rings and once with the pre-rework
-//                   single-ring-mutex baseline (RingMode::kShared) — the
-//                   JSON rows show what the rework buys at equal work.
+//                   ONE shared sharded buffer pool through its own
+//                   io_uring ring — the JSON rows show how the device
+//                   path scales at equal work.
 //   --models        loads the paper's FIVE storage models through the real
 //                   StorageEngine on the direct backend (pool sized far
 //                   below the data) and replays the query suite; the same
@@ -61,7 +60,8 @@
 //                   gate measured_ms of every (mix, backend) row against a
 //                   committed reference — only meaningful on a runner
 //                   marked stable (ci/check.sh engages it behind
-//                   STARFISH_OUTOFCORE_STABLE=1).
+//                   STARFISH_OUTOFCORE_STABLE=1). Exits 1 when no row
+//                   matches the reference.
 //
 // Usage:
 //   bench_outofcore [--backend mmap|direct|both] [--data-mb N]
@@ -88,6 +88,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -99,6 +100,7 @@
 #include "disk/disk_timing.h"
 #include "disk/volume.h"
 #include "models/model_factory.h"
+#include "reference_rows.h"
 #include "storage/storage_engine.h"
 #include "util/aligned_buffer.h"
 #include "util/random.h"
@@ -359,11 +361,10 @@ std::vector<std::string> Ranking(const std::vector<MixResult>& results,
 // ---------------------------------------------------------------------------
 // Per-thread-scaling section (--threads): N submitters, each driving its own
 // completion-driven PrefetchStream over one shared sharded pool, on the
-// direct backend — per-thread rings vs the single-ring-mutex baseline.
+// direct backend's per-thread rings.
 // ---------------------------------------------------------------------------
 
 struct ScalingRow {
-  std::string ring_mode;  ///< "per_thread" | "shared_mutex"
   uint32_t threads = 0;
   double measured_ms = 0;
   double pages_per_sec = 0;
@@ -404,7 +405,7 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
   const std::string dir = config.dir + "_scaling";
   std::filesystem::remove_all(dir);
 
-  // Load once; every (mode, threads) row reopens the same data.
+  // Load once; the scaling rows reopen the same data.
   {
     auto disk_or =
         DirectVolume::Open(dir, DiskOptions{config.page_size, 4u << 20});
@@ -425,12 +426,9 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
   const uint64_t n_objects = n_pages / kPagesPerObject;
   const uint64_t n_fetch = std::max<uint64_t>(256, n_objects * 2);
 
-  for (const bool shared : {false, true}) {
-    DirectVolumeOptions ring;
-    ring.ring_mode = shared ? DirectVolumeOptions::RingMode::kShared
-                            : DirectVolumeOptions::RingMode::kPerThread;
+  {  // scoped: the volume closes before its directory is removed
     auto disk_or =
-        DirectVolume::Open(dir, DiskOptions{config.page_size, 4u << 20}, ring);
+        DirectVolume::Open(dir, DiskOptions{config.page_size, 4u << 20});
     if (!disk_or.ok()) Fatal("scaling reopen", disk_or.status());
     auto disk = std::move(disk_or).value();
 
@@ -466,7 +464,6 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
 
       const IoStats io = disk->stats();
       ScalingRow row;
-      row.ring_mode = shared ? "shared_mutex" : "per_thread";
       row.threads = t;
       row.measured_ms = seconds * 1e3;
       row.pages_per_sec = static_cast<double>(io.pages_read) / seconds;
@@ -756,12 +753,11 @@ int Run(const Config& config) {
       direct_skipped = true;
       if (direct_skip_reason.empty()) direct_skip_reason = scaling_skip_reason;
     } else {
-      std::printf("%-14s %8s %12s %14s %10s %6s\n", "RING MODE", "threads",
-                  "measured ms", "pages/sec", "pages", "async");
+      std::printf("%8s %12s %14s %10s %6s\n", "threads", "measured ms",
+                  "pages/sec", "pages", "async");
       for (const ScalingRow& row : scaling) {
-        std::printf("%-14s %8u %12.2f %14.0f %10" PRIu64 " %6s\n",
-                    row.ring_mode.c_str(), row.threads, row.measured_ms,
-                    row.pages_per_sec, row.pages_read,
+        std::printf("%8u %12.2f %14.0f %10" PRIu64 " %6s\n", row.threads,
+                    row.measured_ms, row.pages_per_sec, row.pages_read,
                     row.async_active ? "yes" : "no");
       }
     }
@@ -845,11 +841,11 @@ int Run(const Config& config) {
       const ScalingRow& row = scaling[i];
       char buf[384];
       std::snprintf(buf, sizeof(buf),
-                    "    {\"ring_mode\": \"%s\", \"threads\": %u, "
+                    "    {\"ring_mode\": \"per_thread\", \"threads\": %u, "
                     "\"measured_ms\": %.3f, \"pages_per_sec\": %.0f, "
                     "\"read_calls\": %" PRIu64 ", \"pages_read\": %" PRIu64
                     ", \"async_prefetch\": %s}%s\n",
-                    row.ring_mode.c_str(), row.threads, row.measured_ms,
+                    row.threads, row.measured_ms,
                     row.pages_per_sec, row.read_calls, row.pages_read,
                     row.async_active ? "true" : "false",
                     i + 1 < scaling.size() ? "," : "");
@@ -973,45 +969,27 @@ int Run(const Config& config) {
   // --compare: measured_ms per (mix, backend) row against a committed
   // reference — engaged by CI only on runners marked stable.
   if (!config.compare.empty()) {
-    std::ifstream ref(config.compare);
-    if (!ref) {
-      std::fprintf(stderr, "bench_outofcore: cannot read %s\n",
-                   config.compare.c_str());
-      return 1;
-    }
-    std::string line;
-    std::vector<std::pair<std::string, double>> reference;  // mix@backend
-    while (std::getline(ref, line)) {
-      const size_t mix_key = line.find("\"mix\": \"");
-      const size_t backend_key = line.find("\"backend\": \"");
-      const size_t ms_key = line.find("\"measured_ms\": ");
-      if (mix_key == std::string::npos || backend_key == std::string::npos ||
-          ms_key == std::string::npos) {
-        continue;
-      }
-      const size_t mix_begin = mix_key + std::strlen("\"mix\": \"");
-      const size_t backend_begin =
-          backend_key + std::strlen("\"backend\": \"");
-      reference.emplace_back(
-          line.substr(mix_begin, line.find('"', mix_begin) - mix_begin) +
-              "@" +
-              line.substr(backend_begin,
-                          line.find('"', backend_begin) - backend_begin),
-          std::atof(line.c_str() + ms_key + std::strlen("\"measured_ms\": ")));
-    }
+    const std::map<std::string, double> reference = bench::ReadReferenceRows(
+        "bench_outofcore", config.compare, {"mix", "backend"}, "measured_ms");
     std::printf("\nmeasured-ms gate vs %s (bound +%.0f%%)\n",
                 config.compare.c_str(), config.max_regress_pct);
+    size_t compared = 0;
     for (const MixResult& r : results) {
       const std::string key = r.mix + "@" + r.backend;
-      for (const auto& [ref_key, ref_ms] : reference) {
-        if (ref_key != key || ref_ms <= 0) continue;
-        const double delta_pct = (r.measured_ms - ref_ms) / ref_ms * 100.0;
-        const bool fail = delta_pct > config.max_regress_pct;
-        std::printf("%-32s %10.2f ms %+8.1f%%%s\n", key.c_str(),
-                    r.measured_ms, delta_pct, fail ? "  <-- REGRESSION" : "");
-        if (fail) ++failures;
-        break;
-      }
+      const auto it = reference.find(key);
+      if (it == reference.end() || it->second <= 0) continue;
+      const double ref_ms = it->second;
+      const double delta_pct = (r.measured_ms - ref_ms) / ref_ms * 100.0;
+      const bool fail = delta_pct > config.max_regress_pct;
+      std::printf("%-32s %10.2f ms %+8.1f%%%s\n", key.c_str(), r.measured_ms,
+                  delta_pct, fail ? "  <-- REGRESSION" : "");
+      if (fail) ++failures;
+      ++compared;
+    }
+    if (compared == 0) {
+      std::fprintf(stderr, "bench_outofcore: no row matches a row of %s\n",
+                   config.compare.c_str());
+      ++failures;
     }
   }
 

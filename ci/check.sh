@@ -9,8 +9,9 @@
 # cache tier's tests + tiny bench, run the generated-workload differential
 # harness (seed-matrix oracle + crash fuzz + tiny scenario bench) and diff
 # the paper benches against their committed golden stdout (the cache-off
-# byte-identity contract), then build with ThreadSanitizer and run the
-# buffer-pool, object-cache and concurrent-replay stress tests.
+# byte-identity contract), run the repo benchmark's self-check, then build
+# with ThreadSanitizer and run the buffer-pool, object-cache and
+# concurrent-replay stress tests.
 #
 # Usage: ci/check.sh [build-dir]     (default: build)
 #
@@ -142,10 +143,9 @@ fi
 
 echo "== out-of-core bench (tiny smoke, ranking-gated) =="
 # Modelled-vs-measured ms per access mix over mmap + direct (emits
-# BENCH_outofcore.json), PLUS the PR 8 sections: per-thread-ring scaling
-# rows at 1/2/4 submitters (completion-driven PrefetchStream per thread,
-# per-thread rings vs the single-ring-mutex baseline) and the five-model
-# out-of-core reproduction (Table 4/5/6 fetch-shape rankings must match
+# BENCH_outofcore.json), plus per-thread-ring scaling rows at 1/2/4
+# submitters (a completion-driven PrefetchStream per thread) and the
+# five-model out-of-core reproduction (Table 4/5/6 fetch-shape rankings must match
 # the in-memory expectation). --gate-ranking FAILS the build when the
 # direct backend's measured ranking diverges from the Eq.-1 model or the
 # model rankings shift out-of-core; everything direct skips gracefully on
@@ -239,13 +239,26 @@ echo "== mt-read bench (mmap backend) =="
 # Archived ungated, like the mmap hot-path run.
 (cd "$BUILD_DIR" && ./bench_mt_read --backend mmap)
 
-echo "== mt-read bench (direct backend: per-thread rings vs shared) =="
-# Raw device read throughput through SubmitReadChained pipelines, per-
-# thread io_uring rings vs the pre-rework single-ring-mutex baseline
-# (emits BENCH_mt_read_direct.json; skip-tolerant without O_DIRECT).
-# Archived ungated in CI — the committed reference rows document the
-# scaling the rework bought on the reference runner.
+echo "== mt-read bench (direct backend: per-thread rings) =="
+# Raw device read throughput through SubmitReadChained pipelines over
+# per-thread io_uring rings at 1/2/4/8 threads (emits
+# BENCH_mt_read_direct.json; skip-tolerant without O_DIRECT). Archived
+# ungated in CI — the committed reference rows document the scaling on the
+# reference runner.
 (cd "$BUILD_DIR" && ./bench_mt_read --backend direct)
+
+echo "== repo benchmark self-check =="
+# perfbench/ at tiny size: all three workloads (hot_read, cold_direct,
+# durable_write) with tracing off and on, their metric names against
+# BENCHMARK.json, and the correctness gate (an injected divergence must
+# fail the run and name its seed). cold_direct needs O_DIRECT, so the stage
+# is skipped where the direct example above exited 3.
+if [[ "$direct_rc" -eq 3 ]]; then
+  echo "benchmark self-check skipped: no O_DIRECT support on this filesystem"
+else
+  CARGO_TARGET_DIR="$BUILD_DIR/bench_build" \
+      python3 "$REPO_ROOT/perfbench/run.py" --selfcheck
+fi
 
 if [[ "${STARFISH_SKIP_TSAN:-0}" == "1" ]]; then
   echo "== TSan stress skipped (STARFISH_SKIP_TSAN=1) =="

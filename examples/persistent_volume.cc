@@ -1,4 +1,4 @@
-// Persistent volumes and timed I/O: the pluggable Volume backends.
+// Persistent volumes and modelled I/O time: the pluggable Volume backends.
 //
 //   $ ./build/example_persistent_volume [dir] [mmap|direct]
 //
@@ -7,11 +7,10 @@
 // the load. The backend argument picks the access path — mmap (page-cache
 // backed, the default) or direct (O_DIRECT: every page transfer is a real
 // device I/O). Both write the SAME on-disk format, so you can even load
-// with one and reopen with the other. The store also wraps its volume in a
-// TimedVolume, so the I/O meter prints estimated milliseconds (Equation 1,
-// charged per I/O call) next to the call/page counts — with the direct
-// backend those modelled milliseconds are finally comparable against what
-// the hardware actually did.
+// with one and reopen with the other. The I/O meter prints the call/page
+// counts next to the milliseconds Equation 1 charges for them — with the
+// direct backend those modelled milliseconds are finally comparable against
+// what the hardware actually did.
 //
 // Exit codes: 0 success, 1 failure, 3 skipped (the filesystem rejects
 // O_DIRECT — tmpfs/overlayfs — and --backend=direct was requested; CI
@@ -62,9 +61,8 @@ int main(int argc, char** argv) {
   options.model = StorageModelKind::kDasdbsNsm;
   options.backend = backend;
   options.path = dir;
-  // Charge Equation-1 service time per I/O call, using the mechanical
+  // Price the I/O counters with Equation 1, using the mechanical
   // parameters of a period drive.
-  options.timed_volume = true;
   options.timing = PhysicalTimingModel{}.ToLinear();
 
   auto store_or = ComplexObjectStore::Open(reading, options);
@@ -124,11 +122,7 @@ int main(int argc, char** argv) {
 
   const EngineStats stats = store.stats();
   std::printf("I/O meter:  %s\n", stats.io.ToString().c_str());
-  std::printf("timed cost: %.2f ms charged by the TimedVolume "
-              "(Eq. 1 per call)\n",
-              store.timed_millis());
-  std::printf("            %.2f ms from the counter snapshot — same "
-              "equation, same answer\n\n",
+  std::printf("modelled:   %.2f ms (Eq. 1 over the counters)\n\n",
               store.EstimatedIoMillis());
 
   // Vet the on-disk state with the offline checker (also available as the

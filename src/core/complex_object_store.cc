@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <unordered_set>
 
@@ -18,11 +17,8 @@ namespace {
 
 /// Catalog payload layout (framed/checksummed by generations.h):
 ///   u32 model kind, u32 page_size, u64 key_attr_index, str schema name,
-///   u32 schema path count, [v3+: u64 wal checkpoint LSN],
-///   engine segment catalog, model state.
-/// The fixed prefix is identical between the legacy v1 file and v2
-/// generations; v3 inserts the WAL checkpoint LSN (the log-truncation
-/// point recovery replays from).
+///   u32 schema path count, u64 wal checkpoint LSN (the log-truncation
+///   point recovery replays from), engine segment catalog, model state.
 
 /// Pre-parsed fixed header of a catalog payload.
 struct CatalogHeader {
@@ -31,18 +27,16 @@ struct CatalogHeader {
   uint64_t key_attr = 0;
   std::string_view schema_name;
   uint32_t path_count = 0;
-  uint64_t wal_checkpoint_lsn = 0;  ///< 0 for v1/v2 payloads
+  uint64_t wal_checkpoint_lsn = 0;
 };
 
-bool ParseCatalogHeader(std::string_view* in, CatalogHeader* header,
-                        bool has_checkpoint_lsn) {
+bool ParseCatalogHeader(std::string_view* in, CatalogHeader* header) {
   return GetFixed32(in, &header->model_kind) &&
          GetFixed32(in, &header->page_size) &&
          GetFixed64(in, &header->key_attr) &&
          GetLengthPrefixed(in, &header->schema_name) &&
          GetFixed32(in, &header->path_count) &&
-         (!has_checkpoint_lsn ||
-          GetFixed64(in, &header->wal_checkpoint_lsn));
+         GetFixed64(in, &header->wal_checkpoint_lsn);
 }
 
 /// WAL op-body encoding of a Put/Replace argument: the object's serialized
@@ -114,6 +108,28 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
   store->options_ = options;
   store->schema_ = schema;
 
+  // Persistent reopen: resolve the committed catalog generation BEFORE the
+  // volume opens, so a directory this build must refuse (retired formats,
+  // an unloadable CURRENT) is left byte-for-byte untouched. CURRENT names
+  // the generation; when that file fails its checksum (bit rot, torn
+  // hardware write) the next-older on-disk generation is the last
+  // committed state. Nothing here trusts an unchecksummed byte.
+  std::string payload;
+  bool reopen = false;
+  if (store->persistent() && !options.path.empty()) {
+    ResolvedCatalog resolved;
+    STARFISH_RETURN_NOT_OK(ResolveCommittedCatalog(options.path, &resolved));
+    store->next_generation_ = resolved.next_generation;
+    if (resolved.any_committed) {
+      payload = std::move(resolved.file.payload);
+      store->generation_ = resolved.loaded;
+      store->fallback_ = resolved.fallback;
+      reopen = true;
+    }
+    // Otherwise nothing was ever committed: a fresh directory, possibly
+    // with the stray uncommitted first checkpoint of a crashed run.
+  }
+
   StorageEngineOptions engine_options;
   engine_options.disk.page_size = options.page_size;
   engine_options.buffer.frame_count = options.buffer_frames;
@@ -122,8 +138,6 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
   engine_options.buffer.shard_count = options.buffer_shards;
   engine_options.backend = options.backend;
   engine_options.path = options.path;
-  engine_options.timed = options.timed_volume;
-  engine_options.timing = options.timing;
   engine_options.volume_decorator = options.volume_decorator;
   STARFISH_ASSIGN_OR_RETURN(store->engine_,
                             StorageEngine::Open(engine_options));
@@ -131,51 +145,10 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
   // options() reports the truth.
   store->options_.page_size = store->engine_->disk()->page_size();
 
-  // Persistent reopen: resolve the committed catalog generation. CURRENT
-  // names it; when that file fails its checksum (bit rot, torn hardware
-  // write) the next-older on-disk generation is the last committed state.
-  // Nothing here trusts an unchecksummed byte.
-  std::string payload;
-  bool reopen = false;
-  bool legacy = false;
-  bool catalog_v3 = false;
-  if (store->persistent()) {
-    const std::string& dir = options.path;
-    ResolvedCatalog resolved;
-    STARFISH_RETURN_NOT_OK(ResolveCommittedCatalog(dir, &resolved));
-    store->next_generation_ = resolved.next_generation;
-
-    if (resolved.any_committed) {
-      payload = std::move(resolved.file.payload);
-      store->generation_ = resolved.loaded;
-      store->fallback_ = resolved.fallback;
-      catalog_v3 = resolved.file.version >= 3;
-      reopen = true;
-    } else {
-      // Nothing was ever committed through the generation protocol. Either
-      // a pre-generation (legacy) store, or a fresh directory — possibly
-      // with the stray uncommitted first checkpoint of a crashed run.
-      auto legacy_or = ReadCatalogFile(LegacyCatalogPath(dir));
-      if (legacy_or.ok()) {
-        if (!legacy_or.value().legacy) {
-          return Status::Corruption("versioned frame under legacy name " +
-                                    LegacyCatalogPath(dir));
-        }
-        payload = std::move(legacy_or.value().payload);
-        reopen = true;
-        legacy = true;
-      } else if (!legacy_or.status().IsNotFound()) {
-        // An unreadable or corrupt legacy catalog has no older generation
-        // to fall back to: surface it rather than silently re-formatting.
-        return legacy_or.status();
-      }
-    }
-  }
-
   std::string_view in(payload);
   CatalogHeader header;
   if (reopen) {
-    if (!ParseCatalogHeader(&in, &header, catalog_v3)) {
+    if (!ParseCatalogHeader(&in, &header)) {
       return Status::Corruption("truncated store catalog in " + options.path);
     }
     if (static_cast<StorageModelKind>(header.model_kind) != options.model) {
@@ -250,9 +223,8 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
       }
     }
     if (has_predecessor) keep.push_back(predecessor);
-    RemoveCatalogGenerationsExcept(dir, reopen && !legacy
-                                            ? keep
-                                            : std::vector<uint64_t>{});
+    RemoveCatalogGenerationsExcept(dir,
+                                   reopen ? keep : std::vector<uint64_t>{});
   }
 
   // Serializes logged op bodies AND transaction undo images — the mem
@@ -1044,8 +1016,6 @@ Status ComplexObjectStore::Flush() {
   next_generation_ = next + 1;
   dirty_.store(false, std::memory_order_relaxed);
   RemoveCatalogGenerationsExcept(dir, {previous, next});
-  std::error_code ec;
-  std::filesystem::remove(LegacyCatalogPath(dir), ec);  // migration complete
   if (wal_ != nullptr) {
     wal_checkpoint_page_count_ = engine_->disk()->page_count();
     STARFISH_RETURN_NOT_OK(wal_->TruncateAt(checkpoint_lsn, next,

@@ -12,10 +12,6 @@ namespace starfish {
 namespace {
 
 constexpr uint32_t kCatalogMagic = 0x54434653;  // "SFCT"
-constexpr uint32_t kCatalogVersionLegacy = 1;
-// v2 and v3 share the frame layout; v3 payloads additionally carry the WAL
-// checkpoint LSN (parsed by the store, not here). New files are written v3.
-constexpr uint32_t kCatalogVersionV2 = 2;
 constexpr uint32_t kCatalogVersion = 3;
 
 /// Name of generation `gen`, without the directory.
@@ -24,7 +20,7 @@ std::string GenerationName(uint64_t gen) {
 }
 
 /// Parses "catalog.<digits>.sf" into `*gen`; false for everything else
-/// (including the legacy "catalog.sf", which has no digits).
+/// (including the retired "catalog.sf", which has no digits).
 bool ParseGenerationName(const std::string& name, uint64_t* gen) {
   constexpr std::string_view kPrefix = "catalog.";
   constexpr std::string_view kSuffix = ".sf";
@@ -51,10 +47,6 @@ std::string CatalogGenerationPath(const std::string& dir, uint64_t gen) {
 }
 
 std::string CurrentPath(const std::string& dir) { return dir + "/CURRENT"; }
-
-std::string LegacyCatalogPath(const std::string& dir) {
-  return dir + "/catalog.sf";
-}
 
 Result<uint64_t> ReadCurrentGeneration(const std::string& dir, bool* found) {
   std::string bytes;
@@ -115,16 +107,10 @@ Result<CatalogFile> ReadCatalogFile(const std::string& path) {
       !GetFixed32(&in, &version)) {
     return Status::Corruption("bad catalog magic in " + path);
   }
-  CatalogFile file;
-  if (version == kCatalogVersionLegacy) {
-    file.legacy = true;
-    file.payload.assign(in.data(), in.size());
-    return file;
-  }
-  if (version != kCatalogVersionV2 && version != kCatalogVersion) {
+  if (version != kCatalogVersion) {
     return Status::Corruption("unsupported catalog version in " + path);
   }
-  file.version = version;
+  CatalogFile file;
   if (!GetFixed64(&in, &file.generation) || in.size() < 4) {
     return Status::Corruption("truncated catalog in " + path);
   }
@@ -159,7 +145,20 @@ Status ResolveCommittedCatalog(const std::string& dir, ResolvedCatalog* out) {
   uint64_t max_seen = out->generations.empty() ? 0 : out->generations.back();
   if (current_found) max_seen = std::max(max_seen, out->current);
   out->next_generation = max_seen + 1;
-  if (!current_found) return Status::OK();
+  if (!current_found) {
+    // A pre-generation store keeps its only catalog in "catalog.sf". That
+    // format is retired; opening the directory as fresh would reclaim every
+    // page it holds, so refuse before anyone touches the volume.
+    const std::string retired = dir + "/catalog.sf";
+    std::error_code ec;
+    const bool present = std::filesystem::exists(retired, ec);
+    if (ec) return Status::IOError("stat " + retired + ": " + ec.message());
+    if (present) {
+      return Status::NotSupported("retired pre-generation catalog " +
+                                  retired + " without CURRENT");
+    }
+    return Status::OK();
+  }
   out->any_committed = true;
 
   std::vector<uint64_t> candidates{out->current};
@@ -173,8 +172,7 @@ Status ResolveCommittedCatalog(const std::string& dir, ResolvedCatalog* out) {
   for (uint64_t candidate : candidates) {
     const std::string path = CatalogGenerationPath(dir, candidate);
     auto file_or = ReadCatalogFile(path);
-    if (file_or.ok() && !file_or.value().legacy &&
-        file_or.value().generation == candidate) {
+    if (file_or.ok() && file_or.value().generation == candidate) {
       out->loaded = candidate;
       out->fallback = candidate != out->current;
       out->file = std::move(file_or).value();

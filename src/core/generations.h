@@ -28,13 +28,15 @@
 ///
 /// Catalog file framing (little-endian):
 ///
-///   v3:  u32 magic 'SFCT', u32 version (3), u64 generation,
-///        payload, u32 crc32 over everything before it — the payload
-///        carries the WAL checkpoint LSN (see wal/wal_format.h)
-///   v2:  same frame, version 2, payload without the checkpoint LSN
-///        (pre-WAL, read-only: the next checkpoint migrates to v3)
-///   v1:  u32 magic, u32 version (1), payload         (legacy, pre-PR4,
-///        read-only: the first checkpoint migrates to v2 + CURRENT)
+///   u32 magic 'SFCT', u32 version (3), u64 generation, payload,
+///   u32 crc32 over everything before it — the payload carries the WAL
+///   checkpoint LSN (see wal/wal_format.h)
+///
+/// Older frame versions (the pre-WAL v2 frame and the unchecksummed v1
+/// "catalog.sf" of pre-generation stores) are retired: a v1/v2 frame fails
+/// validation like any unsupported version, and a directory holding only
+/// "catalog.sf" is refused as NotSupported instead of being treated as
+/// fresh (which would reclaim every page of the old store).
 ///
 /// The payload (model kind, schema fingerprint, segment page lists, model
 /// state) is owned by ComplexObjectStore; this module frames and checksums
@@ -51,9 +53,6 @@ std::string CatalogGenerationPath(const std::string& dir, uint64_t gen);
 
 /// `<dir>/CURRENT`
 std::string CurrentPath(const std::string& dir);
-
-/// `<dir>/catalog.sf` — the pre-generation single catalog.
-std::string LegacyCatalogPath(const std::string& dir);
 
 /// Reads CURRENT. `*found` false when absent (not an error: nothing was
 /// ever committed). Corruption when present but unparseable — CURRENT is
@@ -73,22 +72,17 @@ void RemoveCatalogGenerationsExcept(const std::string& dir,
 
 /// A validated, de-framed catalog file.
 struct CatalogFile {
-  uint64_t generation = 0;  ///< 0 for legacy v1 files
-  bool legacy = false;      ///< v1: no generation, no checksum
-  /// Frame version (1 legacy, 2 pre-WAL, 3 with WAL checkpoint LSN in the
-  /// payload). v2 and v3 share the framing; the store parses the payload
-  /// difference.
-  uint32_t version = 1;
-  std::string payload;      ///< store-owned bytes (model kind onward)
+  uint64_t generation = 0;
+  std::string payload;  ///< store-owned bytes (model kind onward)
 };
 
-/// Reads and validates one catalog file: magic, version, and (v2) the
+/// Reads and validates one catalog file: magic, version, and the
 /// checksum over the whole frame. Corruption — not a partial result — when
 /// anything is off; absence is NotFound. The caller decides whether
 /// Corruption means "fall back a generation" or "fail the open".
 Result<CatalogFile> ReadCatalogFile(const std::string& path);
 
-/// Frames `payload` as a v2 generation file (magic, version, generation,
+/// Frames `payload` as a generation file (magic, version, generation,
 /// payload, crc32).
 std::string EncodeCatalogFile(uint64_t generation, std::string_view payload);
 
@@ -115,9 +109,9 @@ struct ResolvedCatalog {
 /// generations below it are tried newest-first (generations above CURRENT
 /// were never committed and are never candidates). Returns OK with
 /// `any_committed == false` when CURRENT is absent (nothing was ever
-/// committed through the protocol — the caller decides about legacy
-/// catalogs), Corruption when CURRENT is unparseable or present with no
-/// loadable generation. `out` is filled as far as resolution got either
+/// committed: a fresh directory), NotSupported when CURRENT is absent but
+/// the retired pre-generation "catalog.sf" is present, Corruption when
+/// CURRENT is unparseable or present with no loadable generation. `out` is filled as far as resolution got either
 /// way, so a verifier can report the rejected candidates.
 Status ResolveCommittedCatalog(const std::string& dir, ResolvedCatalog* out);
 

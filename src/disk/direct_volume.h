@@ -18,7 +18,7 @@
 /// O_DIRECT, so every ReadRun/WriteRun is a real device transfer that
 /// bypasses the page cache entirely — a buffer-pool miss costs what the
 /// hardware charges, which is what the out-of-core bench measures against
-/// TimedVolume's Equation-1 model.
+/// the Equation-1 model (disk_timing.h).
 ///
 /// On-disk format: IDENTICAL to MmapVolume —
 ///
@@ -37,21 +37,17 @@
 /// plain pread/pwrite loop. Either way the batch counts as one I/O call in
 /// the meter, preserving the paper's call/page accounting.
 ///
-/// Ring model (see docs/VOLUMES.md for the full matrix): by default every
-/// submitting thread lazily gets its OWN io_uring, so N reader threads keep
-/// N submission queues feeding the device with zero software serialization
-/// — the single-ring-plus-mutex arrangement of earlier revisions survives
-/// as RingMode::kShared (a measurable baseline) and RingMode::kSqpoll (one
-/// kernel-polled ring; submission needs no syscall, but threads still
-/// serialize on the queue). Rings pre-register long-lived I/O memory
-/// (RegisterIoMemory — the buffer pool registers its frame arena) as fixed
-/// buffers and the extent fd table as registered files, cutting per-I/O
-/// pinning and fd-reference cost; every feature degrades independently
-/// (registration refused -> plain SQEs; ring refused -> pread/pwrite), and
-/// the accessors (io_uring_active(), registered_buffers_active(), ...)
-/// report what is actually in effect. SubmitReadChained/CompleteRead expose
-/// the ring's native submit/wait split so prefetchers can keep a queue of
-/// reads in flight per thread.
+/// Ring model (see docs/VOLUMES.md): every submitting thread lazily gets
+/// its OWN io_uring, so N reader threads keep N submission queues feeding
+/// the device with zero software serialization. Rings pre-register
+/// long-lived I/O memory (RegisterIoMemory — the buffer pool registers its
+/// frame arena) as fixed buffers and the extent fd table as registered
+/// files, cutting per-I/O pinning and fd-reference cost; every feature
+/// degrades independently (registration refused -> plain SQEs; ring
+/// refused -> pread/pwrite), and the accessors (io_uring_active(),
+/// registered_buffers_active(), ...) report what is actually in effect.
+/// SubmitReadChained/CompleteRead expose the ring's native submit/wait
+/// split so prefetchers can keep a queue of reads in flight per thread.
 ///
 /// Alignment: O_DIRECT requires transfers aligned to the device's DMA
 /// granularity. Open() probes the filesystem (statx STATX_DIOALIGN where
@@ -89,18 +85,6 @@ struct DirectVolumeOptions {
   /// submitted in chunks.
   uint32_t ring_depth = 64;
 
-  /// How submitting threads map onto rings.
-  enum class RingMode {
-    kPerThread,  ///< one ring per submitting thread (default; lock-free)
-    kShared,     ///< one ring, submissions serialized by a mutex (the
-                 ///< pre-rework baseline, kept measurable for benches)
-    kSqpoll,     ///< one IORING_SETUP_SQPOLL ring: a kernel thread polls
-                 ///< the SQ so submission needs no syscall; submitting
-                 ///< threads still serialize on the single queue. Falls
-                 ///< back to kPerThread when the kernel refuses SQPOLL.
-  };
-  RingMode ring_mode = RingMode::kPerThread;
-
   /// Pre-register RegisterIoMemory regions as fixed buffers
   /// (IORING_REGISTER_BUFFERS -> IORING_OP_READ_FIXED/WRITE_FIXED). Rings
   /// that fail the registration (RLIMIT_MEMLOCK, old kernel) silently keep
@@ -110,10 +94,6 @@ struct DirectVolumeOptions {
   /// Pre-register extent fds (IORING_REGISTER_FILES -> IOSQE_FIXED_FILE).
   /// Same per-ring graceful fallback as register_buffers.
   bool register_files = true;
-
-  /// Idle time (ms) before a kSqpoll kernel thread sleeps and submission
-  /// needs an IORING_ENTER_SQ_WAKEUP.
-  uint32_t sqpoll_idle_ms = 100;
 };
 
 /// An O_DIRECT file-per-extent volume with I/O accounting and persistence.
@@ -187,10 +167,6 @@ class DirectVolume final : public PagedVolume {
     return ring_available_.load(std::memory_order_relaxed);
   }
 
-  /// The ring mode actually in effect (kSqpoll downgrades to kPerThread
-  /// when the kernel refuses SQPOLL). Meaningless if !io_uring_active().
-  DirectVolumeOptions::RingMode ring_mode() const { return effective_mode_; }
-
   /// True when the CALLING thread's ring currently has fixed buffers /
   /// registered files in effect (creates the thread's ring on first use,
   /// like any submission would). Both are per-ring states: a ring that
@@ -199,13 +175,8 @@ class DirectVolume final : public PagedVolume {
   bool registered_buffers_active();
   bool registered_files_active();
 
-  /// True when the single SQPOLL ring is live (kSqpoll requested AND the
-  /// kernel granted it).
-  bool sqpoll_active() const;
-
   /// Rings currently owned by the registry (tests: bounded by the number
-  /// of distinct submitting threads; 0 until the first submission in
-  /// kPerThread mode).
+  /// of distinct submitting threads; 0 until the first submission).
   size_t ring_count() const;
 
  private:
@@ -248,11 +219,9 @@ class DirectVolume final : public PagedVolume {
   void BuildRunOps(PageId first, uint32_t count, char* base,
                    std::vector<IoOp>* ops) const;
 
-  /// The calling thread's usable ring (created on first use in kPerThread
-  /// mode; the shared ring otherwise), or nullptr when the thread must use
-  /// the pread/pwrite path. `lock` receives true when ring operations must
-  /// run under the ring's mutex (shared modes).
-  IoRing* AcquireRing(bool* lock);
+  /// The calling thread's usable ring (created on first use), or nullptr
+  /// when the thread must use the pread/pwrite path.
+  IoRing* AcquireRing();
 
   /// Executes one batch as a single logical I/O call: io_uring submission
   /// when a ring is up, pread/pwrite loop otherwise. Does not touch the
@@ -270,8 +239,6 @@ class DirectVolume final : public PagedVolume {
   std::string dir_;
   uint32_t dio_mem_align_;  ///< device DMA buffer alignment (>= 512)
   DirectVolumeOptions direct_options_;
-  DirectVolumeOptions::RingMode effective_mode_ =
-      DirectVolumeOptions::RingMode::kPerThread;
   std::unique_ptr<std::atomic<int>[]> fds_;  ///< kMaxExtents slots, -1 empty
   size_t open_extents_ = 0;                  ///< guarded by alloc_mu_
   /// Extent count whose fds are published (release; registration snapshots
@@ -288,7 +255,6 @@ class DirectVolume final : public PagedVolume {
   /// slot left over from a destroyed volume can never match a live one.
   uint64_t serial_ = 0;
   std::shared_ptr<RingRegistry> registry_;
-  std::shared_ptr<IoRing> shared_ring_;  ///< kShared/kSqpoll modes only
   AllocatorJournal journal_;
 };
 

@@ -14,8 +14,8 @@
 /// A fault-injecting decorator over any Volume backend — the test substrate
 /// of the crash-consistency guarantee.
 ///
-/// FaultVolume forwards every operation to the wrapped backend (same pattern
-/// as TimedVolume) and can, on demand:
+/// FaultVolume forwards every operation to the wrapped backend and can, on
+/// demand:
 ///
 ///   * fail the Nth write call (WriteRun/WriteChained), optionally after
 ///     "tearing" it — applying only the first `torn_pages` pages of the
@@ -183,9 +183,9 @@ class FaultVolume final : public Volume {
   uint32_t io_buffer_alignment() const override {
     return inner_->io_buffer_alignment();
   }
-  // Like TimedVolume, the async read pair stays on the base implementation:
-  // it routes through this decorator's virtual ReadChained, so armed read
-  // faults fire on async-shaped callers too.
+  // The async read pair stays on the base implementation: it routes
+  // through this decorator's virtual ReadChained, so armed read faults fire
+  // on async-shaped callers too.
   void RegisterIoMemory(const void* base, size_t bytes) override {
     inner_->RegisterIoMemory(base, bytes);
   }

@@ -79,11 +79,9 @@ Result<std::unique_ptr<MmapVolume>> MmapVolume::Open(const std::string& dir,
     }
     volume->RestoreAllocatorState(pages, replay.state.freed);
     volume->journal_.MarkReplayed(replay.state);
-    if (replay.legacy || replay.torn_tail ||
-        replay.records > kCompactRecordThreshold) {
-      // Legacy formats upgrade, torn tails must not poison later appends
-      // (replay stops at the first bad record), and long journals fold into
-      // one snapshot.
+    if (replay.torn_tail || replay.records > kCompactRecordThreshold) {
+      // Torn tails must not poison later appends (replay stops at the first
+      // bad record), and long journals fold into one snapshot.
       STARFISH_RETURN_NOT_OK(
           volume->journal_.RewriteCompacted(volume->CurrentMetaState()));
     }

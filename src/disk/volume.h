@@ -34,8 +34,6 @@
 ///     every page transfer is a real device I/O that bypasses the kernel
 ///     page cache (batched through io_uring where available). Same on-disk
 ///     format as MmapVolume.
-///   * **TimedVolume** (timed_volume.h) — a decorator over any backend
-///     that charges Equation-1 service time per call.
 ///   * **FaultVolume** (fault_volume.h) — a fault-injecting decorator (the
 ///     crash-matrix test substrate).
 ///

@@ -12,7 +12,6 @@ namespace starfish {
 namespace {
 
 constexpr uint32_t kMetaMagic = 0x4D564653;  // "SFVM"
-constexpr uint32_t kMetaVersionLegacy = 1;
 constexpr uint32_t kMetaVersion = 2;
 
 constexpr uint32_t kRecordSnapshot = 1;
@@ -78,25 +77,6 @@ bool ApplyRecord(uint32_t kind, std::string_view payload,
   return false;  // unknown kind
 }
 
-Status ReplayLegacy(const std::string& path, std::string_view in,
-                    VolumeMetaReplay* out) {
-  if (!GetFixed32(&in, &out->state.options.page_size) ||
-      !GetFixed32(&in, &out->state.options.extent_bytes) ||
-      !GetFixed64(&in, &out->state.page_count)) {
-    return Status::Corruption("truncated volume.meta in " + path);
-  }
-  const size_t bitmap_bytes = (out->state.page_count + 7) / 8;
-  if (in.size() < bitmap_bytes) {
-    return Status::Corruption("truncated freed bitmap in " + path);
-  }
-  out->state.freed.assign(out->state.page_count, false);
-  for (uint64_t i = 0; i < out->state.page_count; ++i) {
-    if (in[i / 8] & (1 << (i % 8))) out->state.freed[i] = true;
-  }
-  out->legacy = true;
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ReplayVolumeMeta(const std::string& path, VolumeMetaReplay* out) {
@@ -115,7 +95,6 @@ Status ReplayVolumeMeta(const std::string& path, VolumeMetaReplay* out) {
   if (!GetFixed32(&in, &version)) {
     return Status::Corruption("truncated volume.meta in " + path);
   }
-  if (version == kMetaVersionLegacy) return ReplayLegacy(path, in, out);
   if (version != kMetaVersion) {
     return Status::Corruption("unsupported volume.meta version in " + path);
   }

@@ -32,9 +32,8 @@
 /// Replay applies records in order and stops at the first torn or corrupt
 /// record (short frame, bad checksum, implausible payload): everything
 /// before it is the durable allocator state, everything after never
-/// happened. The version-1 format (one unchecksummed snapshot, rewritten
-/// atomically per Sync) is still read for volumes written by older builds;
-/// the first checkpoint after reopen compacts them to version 2.
+/// happened. Any other version (including the retired version-1 snapshot
+/// format) is rejected as unsupported, never re-formatted.
 ///
 /// This module is shared by the writers (MmapVolume, DirectVolume — the two
 /// persistent backends write the identical format, so a volume directory
@@ -63,9 +62,8 @@ struct VolumeMetaState {
 struct VolumeMetaReplay {
   VolumeMetaState state;
   bool found = false;      ///< the file existed
-  bool legacy = false;     ///< version-1 single-snapshot format
   bool torn_tail = false;  ///< a trailing record was dropped as torn/corrupt
-  uint32_t records = 0;    ///< valid records applied (0 for legacy)
+  uint32_t records = 0;    ///< valid records applied
 };
 
 /// Replays `path` into `*out`. A missing file is not an error (`found`
@@ -89,7 +87,7 @@ void AppendDeltaRecord(std::string* out, uint64_t new_page_count,
 std::string ExtentFileName(size_t index);
 
 /// Parses an extent file name back into its index; false for anything
-/// else (including the legacy-free "catalog.*" and "volume.meta" names).
+/// else (including the "catalog.*" and "volume.meta" names).
 bool ParseExtentFileName(const std::string& name, uint64_t* index);
 
 /// Removes extent files at index `expected` or beyond from `dir` (the

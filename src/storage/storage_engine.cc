@@ -22,12 +22,6 @@ StorageEngine::StorageEngine(StorageEngineOptions options)
   if (options_.volume_decorator) {
     volume_ = options_.volume_decorator(std::move(volume_));
   }
-  if (options_.timed) {
-    auto timed = std::make_unique<TimedVolume>(std::move(volume_),
-                                               options_.timing);
-    timed_ = timed.get();
-    volume_ = std::move(timed);
-  }
   // Let a direct-I/O backend DMA page reads straight into the frames: the
   // buffer arena adopts the volume's preferred alignment (decorators
   // forward it; 0 for the memory-addressable backends).

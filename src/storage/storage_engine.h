@@ -8,8 +8,6 @@
 #include <vector>
 
 #include "buffer/buffer_manager.h"
-#include "disk/disk_timing.h"
-#include "disk/timed_volume.h"
 #include "disk/volume.h"
 #include "storage/segment.h"
 #include "storage/tid.h"
@@ -22,9 +20,9 @@
 /// The disk backend is pluggable (StorageEngineOptions::backend): the
 /// default in-memory arena, or a persistent backend rooted at
 /// StorageEngineOptions::path — mmap (page-cache-backed) or direct
-/// (O_DIRECT, every transfer a real device I/O). Any of them can
-/// additionally be wrapped in a TimedVolume that charges Equation-1 service
-/// time per I/O call.
+/// (O_DIRECT, every transfer a real device I/O). Modelled Equation-1 time
+/// is a pure function of the I/O counters (LinearTimingModel::Cost over
+/// stats().io).
 
 namespace starfish {
 
@@ -41,15 +39,9 @@ struct StorageEngineOptions {
   /// on-disk format). Ignored by the mem backend.
   std::string path;
 
-  /// Wrap the backend in a TimedVolume charging `timing` per call.
-  bool timed = false;
-
-  /// Equation-1 coefficients of the timed wrapper.
-  LinearTimingModel timing;
-
-  /// Test seam: wraps the freshly created backend before the timing
-  /// decorator and the buffer pool attach — how the crash-matrix tests
-  /// interpose a FaultVolume. Null = no wrapping.
+  /// Test seam: wraps the freshly created backend before the buffer pool
+  /// attaches — how the crash-matrix tests interpose a FaultVolume. Null =
+  /// no wrapping.
   std::function<std::unique_ptr<Volume>(std::unique_ptr<Volume>)>
       volume_decorator;
 };
@@ -103,9 +95,6 @@ class StorageEngine {
   Volume* disk() { return volume_.get(); }
   const Volume* disk() const { return volume_.get(); }
 
-  /// The timing decorator, or nullptr when options.timed was not set.
-  TimedVolume* timed_volume() { return timed_; }
-
   /// Write-back of all dirty pages — the paper's "database disconnect".
   Status Flush() { return buffer_->FlushAll(); }
 
@@ -154,8 +143,7 @@ class StorageEngine {
  private:
   StorageEngineOptions options_;
   Status init_status_;
-  std::unique_ptr<Volume> volume_;  ///< possibly a TimedVolume wrapper
-  TimedVolume* timed_ = nullptr;    ///< alias into volume_ when timed
+  std::unique_ptr<Volume> volume_;  ///< possibly a decorator
   std::unique_ptr<BufferManager> buffer_;
   std::vector<std::unique_ptr<Segment>> segments_;
   std::unordered_map<std::string, Segment*> by_name_;

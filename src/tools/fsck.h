@@ -70,7 +70,6 @@ struct FsckReport {
 
   // Catalog layer.
   bool catalog_found = false;
-  bool legacy_catalog = false;   ///< pre-generation catalog.sf
   uint64_t generation = 0;       ///< committed generation verified
   uint32_t segment_count = 0;
   uint64_t referenced_pages = 0; ///< distinct pages the catalog references
@@ -84,7 +83,7 @@ struct FsckReport {
   uint64_t wal_next_lsn = 0;      ///< first LSN no valid record carries
   uint64_t wal_records = 0;       ///< valid records scanned
   uint64_t wal_stale_records = 0; ///< records below the checkpoint LSN
-  /// The committed catalog's WAL checkpoint LSN (0 for v2/legacy payloads).
+  /// The committed catalog's WAL checkpoint LSN.
   uint64_t wal_checkpoint_lsn = 0;
 
   std::vector<std::string> errors;

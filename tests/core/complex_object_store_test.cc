@@ -20,6 +20,9 @@ class ComplexObjectStoreTest
     db_ = std::make_unique<bench::BenchmarkDatabase>(std::move(db).value());
     StoreOptions options;
     options.model = GetParam();
+    // Non-default coefficients, so the timing assertions prove the store
+    // prices with ITS model rather than the defaults.
+    options.timing = LinearTimingModel{10.0, 2.0};
     auto store = ComplexObjectStore::Open(db_->schema(), options);
     ASSERT_TRUE(store.ok());
     store_ = std::move(store).value();
@@ -86,6 +89,16 @@ TEST_P(ComplexObjectStoreTest, StatsAndTimingAccumulate) {
   EXPECT_GT(store_->stats().io.pages_read, 0u);
   EXPECT_GT(store_->stats().buffer.fixes, 0u);
   EXPECT_GT(store_->EstimatedIoMillis(), 0.0);
+  // Modelled time is exactly Equation 1 over the counters: d1 per call
+  // plus d2 per page, with the configured coefficients.
+  const IoStats io = store_->stats().io;
+  EXPECT_DOUBLE_EQ(store_->EstimatedIoMillis(),
+                   store_->options().timing.Cost(io));
+  EXPECT_DOUBLE_EQ(store_->EstimatedIoMillis(),
+                   10.0 * static_cast<double>(io.TotalCalls()) +
+                       2.0 * static_cast<double>(io.TotalPages()));
+  store_->ResetStats();
+  EXPECT_EQ(store_->EstimatedIoMillis(), 0.0);
 }
 
 TEST_P(ComplexObjectStoreTest, OptionsArePlumbedThrough) {

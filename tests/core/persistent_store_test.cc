@@ -181,41 +181,6 @@ INSTANTIATE_TEST_SUITE_P(
 
 // --- non-parameterized store-level backend behaviour ----------------------
 
-TEST(TimedStoreTest, TimedVolumeChargesStoreTraffic) {
-  StoreOptions options;
-  options.timed_volume = true;
-  options.timing = LinearTimingModel{24.0, 1.3};
-  auto store = ComplexObjectStore::Open(bench::MakeStationSchema(), options);
-  ASSERT_TRUE(store.ok());
-  EXPECT_DOUBLE_EQ((*store)->timed_millis(), 0.0);
-
-  bench::GeneratorConfig config;
-  config.n_objects = 10;
-  config.seed = 7;
-  auto db = bench::BenchmarkDatabase::Generate(config);
-  ASSERT_TRUE(db.ok());
-  for (const auto& object : db->objects()) {
-    ASSERT_TRUE((*store)->Put(object.ref, object.tuple).ok());
-  }
-  ASSERT_TRUE((*store)->Flush().ok());
-  ASSERT_TRUE((*store)->engine()->DropCache().ok());
-  (*store)->ResetStats();
-  auto got = (*store)->GetByKey(db->objects()[2].key,
-                                Projection::All(*db->schema()));
-  ASSERT_TRUE(got.ok());
-  // The decorator's accumulated time equals Eq. 1 over the counter delta.
-  EXPECT_NEAR((*store)->timed_millis(),
-              options.timing.Cost((*store)->stats().io), 1e-9);
-  EXPECT_GT((*store)->timed_millis(), 0.0);
-}
-
-TEST(TimedStoreTest, UntimedStoreReportsZero) {
-  auto store = ComplexObjectStore::Open(bench::MakeStationSchema(), {});
-  ASSERT_TRUE(store.ok());
-  EXPECT_EQ((*store)->timed_millis(), 0.0);
-  EXPECT_EQ((*store)->engine()->timed_volume(), nullptr);
-}
-
 TEST(PersistentStoreOpenTest, MmapWithoutPathRejected) {
   StoreOptions options;
   options.backend = VolumeKind::kMmap;  // no path

@@ -12,9 +12,8 @@
 //     (counted via /proc/self/fd);
 //   - a thread can keep several read batches in flight and complete them
 //     FIFO (the prefetcher's pattern);
-//   - the kShared and kSqpoll modes round-trip the same bytes, and the
-//     accessors (io_uring_active, ring_mode, ring_count, sqpoll_active,
-//     registered_*_active) report what is actually in effect.
+//   - the accessors (io_uring_active, ring_count, registered_*_active)
+//     report what is actually in effect.
 //
 // The suite name carries "DirectRingMt" so ci/check.sh's TSan stage picks
 // every test up: the per-thread-ring claim is a data-race claim, and TSan
@@ -42,8 +41,6 @@
 
 namespace starfish {
 namespace {
-
-using RingMode = DirectVolumeOptions::RingMode;
 
 bool DirectSupportedHere() {
   static const bool supported = test::DirectIoSupportedHere("direct_ring_mt");
@@ -92,8 +89,8 @@ class DirectRingMtTest : public ::testing::Test {
   }
 
   /// Opens a volume in `dir_` with 8 seeded pages (page id as fill byte).
-  std::unique_ptr<DirectVolume> OpenSeeded(DirectVolumeOptions ring = {}) {
-    auto disk_or = DirectVolume::Open(dir_, Tiny(), ring);
+  std::unique_ptr<DirectVolume> OpenSeeded() {
+    auto disk_or = DirectVolume::Open(dir_, Tiny());
     if (!disk_or.ok()) return nullptr;
     auto disk = std::move(disk_or).value();
     if (disk->page_count() == 0) {
@@ -268,16 +265,14 @@ TEST_F(DirectRingMtTest, MultipleOutstandingTicketsCompleteFifo) {
   }
 }
 
-// kPerThread: the registry grows one ring per distinct submitting thread,
-// never more, and the accessors describe the effective configuration.
+// The registry grows one ring per distinct submitting thread, never more,
+// and the accessors describe the effective configuration.
 TEST_F(DirectRingMtTest, PerThreadModeGrowsOneRingPerThread) {
   auto disk = OpenSeeded();
   ASSERT_NE(disk, nullptr);
   if (!disk->io_uring_active()) {
     GTEST_SKIP() << "kernel has no usable io_uring; ring accounting moot";
   }
-  EXPECT_EQ(disk->ring_mode(), RingMode::kPerThread);
-  EXPECT_FALSE(disk->sqpoll_active());
 
   // Main thread has submitted (seeding writes) — its ring exists.
   const size_t base = disk->ring_count();
@@ -339,72 +334,6 @@ TEST_F(DirectRingMtTest, RegisteredBufferStateFollowsRegistration) {
   ASSERT_TRUE(disk->ReadRun(0, 1, arena.data()).ok());
   EXPECT_EQ(arena.data()[0], 'a');
   EXPECT_FALSE(disk->registered_buffers_active());
-}
-
-// The pre-rework arrangement survives as kShared: one ring, mutex-
-// serialized submission. Concurrent submitters must still get the right
-// bytes, and the registry must hold at most that one ring.
-TEST_F(DirectRingMtTest, SharedModeSerializesOneRing) {
-  DirectVolumeOptions ring;
-  ring.ring_mode = RingMode::kShared;
-  auto disk = OpenSeeded(ring);
-  ASSERT_NE(disk, nullptr);
-  if (!disk->io_uring_active()) {
-    GTEST_SKIP() << "kernel has no usable io_uring";
-  }
-  EXPECT_EQ(disk->ring_mode(), RingMode::kShared);
-  EXPECT_FALSE(disk->sqpoll_active());
-  EXPECT_LE(disk->ring_count(), 1u);
-
-  std::atomic<int> failures{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      AlignedBuffer staging;
-      for (int round = 0; round < 8; ++round) {
-        if (!SubmitRound(disk.get(), &staging)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_LE(disk->ring_count(), 1u);
-}
-
-// kSqpoll: either the kernel grants SQPOLL (sqpoll_active, one ring,
-// submission without syscalls) or the mode documents its own downgrade to
-// kPerThread. Both outcomes must serve correct bytes under concurrency.
-TEST_F(DirectRingMtTest, SqpollModeRoundTripsOrDowngrades) {
-  DirectVolumeOptions ring;
-  ring.ring_mode = RingMode::kSqpoll;
-  ring.sqpoll_idle_ms = 50;
-  auto disk = OpenSeeded(ring);
-  ASSERT_NE(disk, nullptr);
-  if (!disk->io_uring_active()) {
-    GTEST_SKIP() << "kernel has no usable io_uring";
-  }
-  if (disk->sqpoll_active()) {
-    EXPECT_EQ(disk->ring_mode(), RingMode::kSqpoll);
-    EXPECT_LE(disk->ring_count(), 1u);
-  } else {
-    EXPECT_EQ(disk->ring_mode(), RingMode::kPerThread);
-  }
-  std::atomic<int> failures{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 4; ++t) {
-    workers.emplace_back([&] {
-      AlignedBuffer staging;
-      for (int round = 0; round < 8; ++round) {
-        if (!SubmitRound(disk.get(), &staging)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-  EXPECT_EQ(failures.load(), 0);
 }
 
 // Full-pressure TSan target: concurrent readers, a concurrent writer, and

@@ -10,8 +10,8 @@
 // documented NotSupported/nullptr behaviour there instead; it is skipped
 // entirely on filesystems without O_DIRECT (tmpfs, overlayfs). Backend-
 // specific behaviour (persistence, reopen) lives in mmap_volume_test.cc /
-// direct_volume_test.cc; the decorators' active behaviour in
-// timed_volume_test.cc / fault_volume_test.cc.
+// direct_volume_test.cc; the fault decorator's active behaviour in
+// fault_volume_test.cc.
 
 #include "disk/volume.h"
 
@@ -214,10 +214,17 @@ TEST_P(VolumeTest, ChainedWriteRoundTrip) {
 TEST_P(VolumeTest, OutOfRangeAccessRejected) {
   auto disk = Make();
   ASSERT_TRUE(disk->Allocate().ok());
+  const IoStats before = disk->stats();
   std::vector<char> buf(disk->page_size());
   EXPECT_TRUE(disk->ReadRun(1, 1, buf.data()).IsOutOfRange());
   EXPECT_TRUE(disk->ReadRun(0, 2, buf.data()).IsOutOfRange());
   EXPECT_TRUE(disk->ReadRun(kInvalidPageId, 1, buf.data()).IsOutOfRange());
+  EXPECT_TRUE(disk->ReadRun(0, 0, buf.data()).IsInvalidArgument());
+  // A rejected call is no I/O: the meter — and so the Equation-1 time
+  // priced from it — stays where it was.
+  const IoStats delta = disk->stats().Since(before);
+  EXPECT_EQ(delta.TotalCalls(), 0u);
+  EXPECT_EQ(delta.TotalPages(), 0u);
 }
 
 TEST_P(VolumeTest, EmptyRunRejected) {

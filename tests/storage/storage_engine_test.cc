@@ -95,7 +95,6 @@ TEST(StorageEngineTest, DefaultBackendIsMemAndUntimed) {
   StorageEngine engine;
   EXPECT_TRUE(engine.init_status().ok());
   EXPECT_EQ(engine.disk()->kind(), VolumeKind::kMem);
-  EXPECT_EQ(engine.timed_volume(), nullptr);
 }
 
 TEST(StorageEngineTest, OpenPropagatesBackendFailure) {
@@ -118,25 +117,6 @@ TEST(StorageEngineTest, OpenOrCreateSegmentReusesExisting) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value(), b.value());
   EXPECT_EQ(engine.segments().size(), 1u);
-}
-
-TEST(StorageEngineTest, TimedEngineChargesVolumeTraffic) {
-  StorageEngineOptions options;
-  options.timed = true;
-  options.timing = LinearTimingModel{10.0, 2.0};
-  StorageEngine engine(options);
-  ASSERT_NE(engine.timed_volume(), nullptr);
-  auto seg = engine.CreateSegment("t");
-  ASSERT_TRUE(seg.ok());
-  auto page = seg.value()->AllocatePage(PageType::kSlotted);
-  ASSERT_TRUE(page.ok());
-  ASSERT_TRUE(engine.Flush().ok());
-  ASSERT_TRUE(engine.DropCache().ok());
-  engine.ResetStats();
-  EXPECT_EQ(engine.timed_volume()->elapsed_ms(), 0.0);
-  { auto g = engine.buffer()->Fix(page.value()); ASSERT_TRUE(g.ok()); }
-  // One cold single-page read: d1 + 1 * d2.
-  EXPECT_DOUBLE_EQ(engine.timed_volume()->elapsed_ms(), 12.0);
 }
 
 TEST(StorageEngineTest, SegmentCatalogRoundTrips) {

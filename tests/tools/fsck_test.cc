@@ -9,12 +9,22 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <map>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/complex_object_store.h"
 #include "core/generations.h"
+#include "disk/volume_meta.h"
 #include "nf2/schema.h"
 #include "nf2/value.h"
+#include "util/coding.h"
+#include "util/crc32.h"
 
 namespace starfish {
 namespace {
@@ -36,18 +46,25 @@ class FsckTest : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
-  /// A small committed store: 10 objects, one checkpoint.
-  void BuildStore() {
+  static std::shared_ptr<const Schema> ObjSchema() {
     auto item = SchemaBuilder("Item").AddInt32("N").AddString("S").Build();
-    auto schema = SchemaBuilder("Obj")
-                      .AddInt32("Id")
-                      .AddString("Name")
-                      .AddRelation("Items", item)
-                      .Build();
+    return SchemaBuilder("Obj")
+        .AddInt32("Id")
+        .AddString("Name")
+        .AddRelation("Items", item)
+        .Build();
+  }
+
+  StoreOptions MmapOptions() const {
     StoreOptions options;
     options.backend = VolumeKind::kMmap;
     options.path = dir_;
-    auto store = ComplexObjectStore::Open(schema, options).value();
+    return options;
+  }
+
+  /// A small committed store: 10 objects, one checkpoint.
+  void BuildStore() {
+    auto store = ComplexObjectStore::Open(ObjSchema(), MmapOptions()).value();
     for (int i = 0; i < 10; ++i) {
       Tuple obj{{Value::Int32(i), Value::Str("obj-" + std::to_string(i)),
                  Value::Relation({
@@ -149,6 +166,119 @@ TEST_F(FsckTest, TamperedPageHeaderIsAnError) {
     if (error.find("header") != std::string::npos) mentions_header = true;
   }
   EXPECT_TRUE(mentions_header) << report.ToString();
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// File name -> bytes of every file in `dir`.
+std::map<std::string, std::string> SnapshotDir(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files[entry.path().filename().string()] =
+        ReadBytes(entry.path().string());
+  }
+  return files;
+}
+
+/// The committed catalog payload of `dir` with the WAL checkpoint LSN cut
+/// out: the payload layout the retired pre-WAL frames carried.
+std::string PreWalPayload(const std::string& dir) {
+  auto file = ReadCatalogFile(CatalogGenerationPath(dir, 1));
+  EXPECT_TRUE(file.ok()) << file.status().ToString();
+  const std::string payload = file.ok() ? file.value().payload : "";
+  std::string_view in(payload);
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  std::string_view name;
+  // model kind, page size, key attr, schema name, path count.
+  EXPECT_TRUE(GetFixed32(&in, &u32) && GetFixed32(&in, &u32) &&
+              GetFixed64(&in, &u64) && GetLengthPrefixed(&in, &name) &&
+              GetFixed32(&in, &u32));
+  const size_t lsn_at = payload.size() - in.size();
+  return payload.substr(0, lsn_at) + payload.substr(lsn_at + 8);
+}
+
+// Directories in the retired on-disk formats — pre-generation catalog.sf
+// without CURRENT, the pre-WAL v2 generation frame, the v1 volume.meta —
+// are refused, never migrated or re-formatted: Open fails and leaves every
+// byte as it was, and sf_fsck reports an error. Each image is a real
+// committed store rewritten into the old format, so the payload itself
+// would load.
+TEST_F(FsckTest, RetiredFormatsFailClosed) {
+  constexpr uint32_t kCatalogMagic = 0x54434653;  // "SFCT"
+  constexpr uint32_t kMetaMagic = 0x4D564653;     // "SFVM"
+  const std::vector<std::pair<std::string, std::function<void()>>> cases = {
+      {"v1 catalog.sf without CURRENT",
+       [&] {
+         std::string frame;
+         PutFixed32(&frame, kCatalogMagic);
+         PutFixed32(&frame, 1);
+         frame += PreWalPayload(dir_);
+         WriteBytes(dir_ + "/catalog.sf", frame);
+         std::filesystem::remove(CurrentPath(dir_));
+         std::filesystem::remove(CatalogGenerationPath(dir_, 1));
+         std::filesystem::remove(dir_ + "/wal.log");
+       }},
+      {"CURRENT naming a v2 frame",
+       [&] {
+         std::string frame;
+         PutFixed32(&frame, kCatalogMagic);
+         PutFixed32(&frame, 2);
+         PutFixed64(&frame, 1);
+         frame += PreWalPayload(dir_);
+         PutFixed32(&frame, Crc32(frame));
+         WriteBytes(CatalogGenerationPath(dir_, 1), frame);
+         std::filesystem::remove(dir_ + "/wal.log");
+       }},
+      {"v1 volume.meta",
+       [&] {
+         VolumeMetaReplay replay;
+         ASSERT_TRUE(ReplayVolumeMeta(dir_ + "/volume.meta", &replay).ok());
+         std::string meta;
+         PutFixed32(&meta, kMetaMagic);
+         PutFixed32(&meta, 1);
+         PutFixed32(&meta, replay.state.options.page_size);
+         PutFixed32(&meta, replay.state.options.extent_bytes);
+         PutFixed64(&meta, replay.state.page_count);
+         std::string bitmap((replay.state.page_count + 7) / 8, '\0');
+         for (uint64_t i = 0; i < replay.state.page_count; ++i) {
+           if (replay.state.freed[i]) bitmap[i / 8] |= static_cast<char>(1 << (i % 8));
+         }
+         WriteBytes(dir_ + "/volume.meta", meta + bitmap);
+       }},
+  };
+  for (const auto& [name, rewrite] : cases) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove_all(dir_);
+    BuildStore();
+    rewrite();
+    const auto before = SnapshotDir(dir_);
+
+    {
+      auto store = ComplexObjectStore::Open(ObjSchema(), MmapOptions());
+      EXPECT_FALSE(store.ok());
+    }  // a store that did open is closed before the bytes are compared
+    EXPECT_EQ(SnapshotDir(dir_), before);
+
+    const FsckReport report = Run();
+    EXPECT_FALSE(report.clean()) << report.ToString();
+    EXPECT_EQ(SnapshotDir(dir_), before);
+  }
+  // The pre-generation catalog is refused as such, before any parsing.
+  std::filesystem::remove_all(dir_);
+  BuildStore();
+  cases[0].second();
+  EXPECT_TRUE(ComplexObjectStore::Open(ObjSchema(), MmapOptions())
+                  .status()
+                  .IsNotSupported());
 }
 
 TEST_F(FsckTest, GarbageJournalTailIsAWarningNotAnError) {
