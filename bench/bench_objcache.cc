@@ -17,8 +17,8 @@
 // end — the tier pays for itself when that number clears 1, and on
 // assembly-heavy models it should clear 2.
 //
-// Plain NSM has no by-ref access, so the cache is not applicable; its rows
-// run the same mixes through GetByKey (uncached by design) and report an
+// Plain NSM has no by-ref access, so the store builds no cache for it; its
+// rows run the same mixes through GetByKey (uncached there) and report an
 // assembly-hit ratio of 0 — the model sweep stays complete without
 // pretending NSM has an object cache to measure.
 //

@@ -11,7 +11,8 @@
 # the paper benches against their committed golden stdout (the cache-off
 # byte-identity contract), run the repo benchmark's self-check, then build
 # with ThreadSanitizer and run the buffer-pool, object-cache and
-# concurrent-replay stress tests.
+# concurrent-replay stress tests, and build with AddressSanitizer +
+# UndefinedBehaviorSanitizer and run the whole test suite.
 #
 # Usage: ci/check.sh [build-dir]     (default: build)
 #
@@ -44,6 +45,12 @@
 # TSan stage: a second build dir (<build-dir>-tsan) compiled with
 # -fsanitize=thread runs the BufferMt stress suites. Skip with
 # STARFISH_SKIP_TSAN=1 on toolchains without libtsan.
+#
+# ASan stage: a third build dir (<build-dir>-asan), RelWithDebInfo with
+# -fsanitize=address,undefined -fno-sanitize-recover=undefined
+# -D_GLIBCXX_ASSERTIONS, runs every test in starfish_tests; any sanitizer
+# report aborts the run. Skip with STARFISH_SKIP_ASAN=1 on toolchains
+# without libasan/libubsan.
 set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -167,6 +174,11 @@ echo "== object cache =="
 # archived ungated — speedups are runner hardware, the full-size run's
 # hot-mix speedup is the acceptance number).
 "$BUILD_DIR/starfish_tests" --gtest_filter='*ObjCache*:*ObjectCache*'
+# The workload soak replays every scenario family x config x objcache
+# on/off against the in-memory oracle — the broad proof that invalidating
+# by target ref alone never leaves a stale assembly servable.
+STARFISH_WORKLOAD_SOAK=1 "$BUILD_DIR/starfish_tests" \
+    --gtest_filter='WorkloadSoak.*'
 (cd "$BUILD_DIR" && ./bench_objcache --tiny)
 
 echo "== workload: generated-scenario differential harness =="
@@ -282,6 +294,22 @@ else
   # byte-identical to the sequential replay.
   "$BUILD_DIR-tsan/starfish_tests" \
       --gtest_filter='*BufferMt*:*ShardedDeterminism*:*ObjCacheMt*:*DirectRingMt*:*ParallelApplyMt*:*WorkloadMt*'
+fi
+
+if [[ "${STARFISH_SKIP_ASAN:-0}" == "1" ]]; then
+  echo "== ASan+UBSan suite skipped (STARFISH_SKIP_ASAN=1) =="
+else
+  echo "== ASan+UBSan build =="
+  # RelWithDebInfo keeps the run quick and the reports symbolized;
+  # _GLIBCXX_ASSERTIONS adds bounds checks to the standard containers.
+  cmake -B "$BUILD_DIR-asan" -S "$REPO_ROOT" \
+        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        "-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS" \
+        -DSTARFISH_BUILD_BENCHES=OFF -DSTARFISH_BUILD_EXAMPLES=OFF
+  cmake --build "$BUILD_DIR-asan" --target starfish_tests -j "$(nproc)"
+
+  echo "== ASan+UBSan suite =="
+  "$BUILD_DIR-asan/starfish_tests"
 fi
 
 echo "== OK =="

@@ -167,15 +167,11 @@ void BufferManager::TableErase(Shard& shard, PageId id) {
   --shard.resident;
 }
 
-thread_local std::vector<PageId>* BufferManager::read_capture_ = nullptr;
 thread_local BufferManager::CaptureState* BufferManager::write_capture_ =
     nullptr;
 thread_local BufferManager::CaptureState BufferManager::write_capture_slot_;
 
 Result<PageGuard> BufferManager::Fix(PageId id) {
-  if (__builtin_expect(read_capture_ != nullptr, false)) {
-    read_capture_->push_back(id);
-  }
   const uint64_t h = Mix(id);
   Shard& shard = ShardOfHash(h);
   ShardLock lock = Lock(shard);
@@ -202,9 +198,6 @@ Result<PageGuard> BufferManager::Fix(PageId id) {
 }
 
 Result<PageGuard> BufferManager::FixFresh(PageId id) {
-  if (__builtin_expect(read_capture_ != nullptr, false)) {
-    read_capture_->push_back(id);
-  }
   const uint64_t h = Mix(id);
   Shard& shard = ShardOfHash(h);
   ShardLock lock = Lock(shard);

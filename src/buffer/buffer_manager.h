@@ -255,8 +255,8 @@ class PageGuard {
 ///     logs those images so replay can roll shared pages back to their
 ///     committed content before re-running ops.
 ///
-/// Write capture is THREAD-SCOPED, like the read capture: the capture state
-/// lives in a thread-local slot, so concurrent writers (whose ops hold
+/// Write capture is THREAD-SCOPED: the capture state lives in a
+/// thread-local slot, so concurrent writers (whose ops hold
 /// disjoint segment write-latch sets) each capture exactly their own op's
 /// pages with no shared state and no lock. The Fix/Unpin hot paths pay one
 /// TLS load and a predicted-not-taken branch when no capture is active.
@@ -306,29 +306,6 @@ class BufferManager {
   /// the no-WAL path uses it to release captured frames, since 0 is never a
   /// real LSN (they start at 1).
   void StampRecoveryLsn(const std::vector<PageId>& pages, uint64_t lsn);
-
-  /// Starts recording, into *sink, the id of every page THIS THREAD fixes
-  /// (Fix and FixFresh, hits and misses alike) until EndThreadReadCapture.
-  /// How the object cache learns which pages back an assembly: the store
-  /// brackets a miss's model read with a capture and hands the page set to
-  /// the cache entry. Thread-local by construction — concurrent readers
-  /// each capture only their own fixes, with no shared state and no lock.
-  /// `sink` must outlive the capture; captures do not nest.
-  static void BeginThreadReadCapture(std::vector<PageId>* sink) {
-    read_capture_ = sink;
-  }
-  static void EndThreadReadCapture() { read_capture_ = nullptr; }
-
-  /// RAII bracket for the above (exception/early-return safe).
-  class ThreadReadCaptureScope {
-   public:
-    explicit ThreadReadCaptureScope(std::vector<PageId>* sink) {
-      BeginThreadReadCapture(sink);
-    }
-    ~ThreadReadCaptureScope() { EndThreadReadCapture(); }
-    ThreadReadCaptureScope(const ThreadReadCaptureScope&) = delete;
-    ThreadReadCaptureScope& operator=(const ThreadReadCaptureScope&) = delete;
-  };
 
   /// Pins `id` in the pool, reading it from disk if absent (one single-page
   /// read call on miss). Multiple concurrent pins on one page are allowed.
@@ -593,16 +570,10 @@ class BufferManager {
     WriteCapture out;
   };
 
-  /// Read-capture sink of the current thread (null = off, the common
-  /// case). A plain thread-local pointer: the Fix hot path pays one TLS
-  /// load and a predicted-not-taken branch, mirroring the write capture.
-  /// Static (not per-manager) — a thread runs one assembly at a time, and
-  /// the store brackets captures tightly.
-  static thread_local std::vector<PageId>* read_capture_;
-
-  /// This thread's active write capture (null = off). Same shape as the
-  /// read capture: static, because a thread applies one op against one
-  /// store at a time, and the store brackets the capture tightly.
+  /// This thread's active write capture (null = off, the common case). A
+  /// plain thread-local pointer, static rather than per-manager, because a
+  /// thread applies one op against one store at a time and the store
+  /// brackets the capture tightly.
   static thread_local CaptureState* write_capture_;
   /// Backing storage for write_capture_ (avoids a per-op allocation; the
   /// vectors inside keep their capacity across ops on the same thread).

@@ -567,7 +567,7 @@ Status ComplexObjectStore::LoggedWrite(WalRecordKind kind,
       // (lsn 0: there is no record to point at).
       engine_->buffer()->StampRecoveryLsn(capture.dirtied, 0);
       if (!applied.ok() && capture.dirtied.empty()) return applied;
-      InvalidateForWrite(static_cast<ObjectRef>(ref), capture.dirtied);
+      InvalidateForWrite(static_cast<ObjectRef>(ref));
       if (applied.ok()) {
         dirty_.store(true, std::memory_order_relaxed);
         if (txn != nullptr && !compensating && undo.has_value()) {
@@ -583,12 +583,12 @@ Status ComplexObjectStore::LoggedWrite(WalRecordKind kind,
       return applied;
     }
     // Invalidate BEFORE any acknowledgement (and before the early error
-    // returns below — their pages are dirty too): every cached assembly
-    // backed by a dirtied page goes, plus the target ref itself, and the
-    // cache epochs move so a concurrent in-flight assembly cannot publish
-    // a pre-write snapshot. Readers holding an entry keep their consistent
-    // pre-write copy — entries are immutable, invalidation only unshares.
-    InvalidateForWrite(static_cast<ObjectRef>(ref), capture.dirtied);
+    // returns below — their pages are dirty too): the target ref's cached
+    // assembly goes, and the cache epoch moves so a concurrent in-flight
+    // assembly cannot publish a pre-write snapshot. Readers holding an
+    // entry keep their consistent pre-write copy — entries are immutable,
+    // invalidation only unshares.
+    InvalidateForWrite(static_cast<ObjectRef>(ref));
 
     WalOpPayload op;
     op.ref = ref;
@@ -634,11 +634,8 @@ Status ComplexObjectStore::LoggedWrite(WalRecordKind kind,
   return wal_->Commit(lsn);
 }
 
-void ComplexObjectStore::InvalidateForWrite(
-    ObjectRef ref, const std::vector<PageId>& dirtied) {
-  if (objcache_ == nullptr) return;
-  objcache_->InvalidatePages(dirtied);
-  objcache_->InvalidateRef(ref);
+void ComplexObjectStore::InvalidateForWrite(ObjectRef ref) {
+  if (objcache_ != nullptr) objcache_->InvalidateRef(ref);
 }
 
 Result<StoreTransaction::UndoRecord> ComplexObjectStore::CaptureUndo(
@@ -738,7 +735,8 @@ Result<Tuple> ComplexObjectStore::Get(ObjectRef ref) {
 }
 
 Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
-                                            const Projection& projection) {
+                                            const Projection& projection,
+                                            const int64_t* key) {
   uint64_t epoch = 0;
   if (ObjCacheEntryRef entry = objcache_->Lookup(ref, &epoch)) {
     if (projection.IsAll()) return entry->object;
@@ -747,38 +745,47 @@ Result<Tuple> ComplexObjectStore::CachedGet(ObjectRef ref,
   // A repeated probe for an object already known absent is answered from
   // the negative side table — no model read, no page fix. The verdict is
   // epoch-guarded inside the cache, so any write since it was recorded
-  // voids it and the probe falls through again.
-  if (objcache_->LookupNegative(ref)) {
+  // voids it and the probe falls through again. (A by-key read names a
+  // ref the model's key map holds, so it never asks.)
+  if (key == nullptr && objcache_->LookupNegative(ref)) {
     // Same message the models produce, so a cache-served NotFound is
     // indistinguishable (code and text) from one that read the pages.
     return Status::NotFound("no object with ref " + std::to_string(ref));
   }
   // Miss: read-through. Assemble the FULL object (so one miss serves every
-  // later projection) under a read-page capture, then publish it guarded
-  // by the epoch sampled above — if any invalidation ran in between, the
-  // assembly may have observed a half-applied write and is discarded.
-  std::vector<PageId> pages;
-  Result<Tuple> full_or = [&] {
-    BufferManager::ThreadReadCaptureScope capture(&pages);
-    return model_->GetByRef(ref, Projection::All(*schema_));
-  }();
+  // later projection) by the caller's own access path — a by-key miss runs
+  // the model's value scan, so its I/O is exactly the uncached query's —
+  // then publish it guarded by the epoch sampled above: if any write
+  // landed in between, the assembly may have observed a half-applied op
+  // and is discarded.
+  const Projection all = Projection::All(*schema_);
+  Result<Tuple> full_or = key != nullptr ? model_->GetByKey(*key, all)
+                                         : model_->GetByRef(ref, all);
   if (!full_or.ok()) {
     // A NotFound verdict from the model is worth remembering: record it
     // under the same epoch guard an assembly publishes under.
-    if (full_or.status().IsNotFound()) objcache_->InsertNegative(ref, epoch);
+    if (key == nullptr && full_or.status().IsNotFound()) {
+      objcache_->InsertNegative(ref, epoch);
+    }
     return full_or.status();
   }
   Tuple full = std::move(full_or).value();
   Tuple out = projection.IsAll()
                   ? full
                   : ProjectAssembled(*schema_, full, projection);
-  objcache_->Insert(ref, std::move(full), std::move(pages), epoch);
+  objcache_->Insert(ref, std::move(full), epoch);
   return out;
 }
 
 Result<Tuple> ComplexObjectStore::GetByKey(int64_t key,
                                            const Projection& projection) {
-  return model_->GetByKey(key, projection);
+  // The cache is keyed by ref, so only a model that maps keys to refs
+  // uniquely (RefOfKey, an in-memory lookup) can serve query 1b from it.
+  // Absent keys and the direct models fall through to the model's scan.
+  std::optional<ObjectRef> ref;
+  if (objcache_ != nullptr) ref = model_->RefOfKey(key);
+  if (!ref.has_value()) return model_->GetByKey(key, projection);
+  return CachedGet(*ref, projection, &key);
 }
 
 Status ComplexObjectStore::Scan(const Projection& projection,

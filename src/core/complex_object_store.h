@@ -472,16 +472,17 @@ class ComplexObjectStore {
   Status ApplyCompensation(const StoreTransaction::UndoRecord& undo,
                            StoreTransaction* txn);
 
-  /// Get through the object cache (objcache_ != nullptr): serve hits from
-  /// the assembled entry, assemble misses under a read-page capture and
-  /// publish them epoch-guarded.
-  Result<Tuple> CachedGet(ObjectRef ref, const Projection& projection);
+  /// Read through the object cache (objcache_ != nullptr): serve hits from
+  /// the assembled entry, assemble misses in full and publish them
+  /// epoch-guarded. `key` non-null marks a by-key read of the object the
+  /// model's key map names `ref`: its miss runs the model's GetByKey.
+  Result<Tuple> CachedGet(ObjectRef ref, const Projection& projection,
+                          const int64_t* key = nullptr);
 
-  /// Write-path invalidation: drops every cached assembly a just-applied
-  /// op could have staled (its dirtied pages + its target ref), BEFORE the
-  /// op is acknowledged. `dirtied` is the WAL write capture's page list
-  /// (empty on the mem path, where ref-based invalidation carries alone).
-  void InvalidateForWrite(ObjectRef ref, const std::vector<PageId>& dirtied);
+  /// Write-path invalidation: drops the cached assembly of the op's target
+  /// ref, the only object a write op changes, BEFORE the op is
+  /// acknowledged, and moves the cache epoch.
+  void InvalidateForWrite(ObjectRef ref);
 
   StoreOptions options_;
   std::shared_ptr<const Schema> schema_;

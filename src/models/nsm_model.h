@@ -55,6 +55,11 @@ class NsmModel : public StorageModel {
   Status Insert(ObjectRef ref, const Tuple& object) override;
   Result<Tuple> GetByRef(ObjectRef ref, const Projection& proj) override;
   Result<Tuple> GetByKey(int64_t key, const Projection& proj) override;
+  std::optional<ObjectRef> RefOfKey(int64_t key) const override {
+    auto it = ref_of_key_.find(key);
+    if (it == ref_of_key_.end()) return std::nullopt;
+    return it->second;
+  }
   Status ScanAll(const Projection& proj, const ScanCallback& fn) override;
   Result<std::vector<ObjectRef>> GetChildRefs(ObjectRef ref) override;
   Result<Tuple> GetRootRecord(ObjectRef ref) override;

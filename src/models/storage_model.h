@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "nf2/projection.h"
@@ -93,6 +94,15 @@ class StorageModel {
 
   /// Query 1b: retrieve by key value (value-based selection).
   virtual Result<Tuple> GetByKey(int64_t key, const Projection& proj) = 0;
+
+  /// The ref stored under `key`, from an in-memory map that fixes no page;
+  /// nullopt when the key is absent or the model keeps no unique key->ref
+  /// map (the direct models never check key uniqueness, so their last
+  /// scan match is the only answer). Lets the store serve query 1b from
+  /// the object cache without changing what the model's own scan returns.
+  virtual std::optional<ObjectRef> RefOfKey(int64_t /*key*/) const {
+    return std::nullopt;
+  }
 
   /// Query 1c: retrieve every object.
   virtual Status ScanAll(const Projection& proj, const ScanCallback& fn) = 0;

@@ -8,8 +8,8 @@ namespace starfish {
 
 namespace {
 
-/// Fixed per-entry bookkeeping charge: map node, LRU node, page-index
-/// slots. A round constant — the charge only needs to keep thousands of
+/// Fixed per-entry bookkeeping charge: map node, LRU node, control block.
+/// A round constant — the charge only needs to keep thousands of
 /// tiny entries from looking free.
 constexpr size_t kEntryOverhead = 96;
 
@@ -48,8 +48,7 @@ std::string ObjCacheStats::ToString() const {
 }
 
 /// One independent slice of the cache. Everything here is guarded by `mu`;
-/// shard locks are never nested (InvalidatePages/Clear visit shards one at
-/// a time).
+/// shard locks are never nested (Clear visits shards one at a time).
 struct ObjectCache::Shard {
   std::mutex mu;
 
@@ -63,21 +62,12 @@ struct ObjectCache::Shard {
   };
   std::unordered_map<ObjectRef, Slot> map;
 
-  /// Backing page -> refs of entries assembled from it (this shard only).
-  /// Conservative: pages recorded at assembly time, entries dropped when
-  /// any of them is dirtied by a write.
-  std::unordered_map<PageId, std::vector<ObjectRef>> page_index;
-
-  /// Invalidation epoch: bumped by every invalidation that could concern
-  /// this shard. Lookup misses sample it; Insert refuses when it moved.
-  uint64_t epoch = 0;
-
   /// Resident bytes charged against this shard's capacity slice.
   size_t bytes = 0;
 
   /// Negative side table: refs whose last model probe came back NotFound,
   /// stamped with the epoch at probe time. An entry is only believed while
-  /// its stamp equals the current epoch — every write bumps the epochs, so
+  /// its stamp equals the current epoch — every write bumps the epoch, so
   /// stale verdicts die passively; they are reaped when touched or when
   /// the LRU bound pushes them out.
   std::list<ObjectRef> neg_lru;  ///< front = coldest
@@ -110,7 +100,7 @@ ObjCacheEntryRef ObjectCache::Lookup(ObjectRef ref, uint64_t* epoch_out) {
   auto it = shard.map.find(ref);
   if (it == shard.map.end()) {
     stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    if (epoch_out != nullptr) *epoch_out = shard.epoch;
+    if (epoch_out != nullptr) *epoch_out = epoch_.load();
     return nullptr;
   }
   stats_.hits.fetch_add(1, std::memory_order_relaxed);
@@ -123,13 +113,6 @@ bool ObjectCache::EraseLocked(Shard& shard, ObjectRef ref) {
   auto it = shard.map.find(ref);
   if (it == shard.map.end()) return false;
   const ObjCacheEntryRef& entry = it->second.entry;
-  for (PageId page : entry->pages) {
-    auto page_it = shard.page_index.find(page);
-    if (page_it == shard.page_index.end()) continue;
-    std::vector<ObjectRef>& refs = page_it->second;
-    refs.erase(std::remove(refs.begin(), refs.end(), ref), refs.end());
-    if (refs.empty()) shard.page_index.erase(page_it);
-  }
   shard.bytes -= entry->bytes;
   stats_.bytes.fetch_sub(entry->bytes, std::memory_order_relaxed);
   stats_.entries.fetch_sub(1, std::memory_order_relaxed);
@@ -138,24 +121,16 @@ bool ObjectCache::EraseLocked(Shard& shard, ObjectRef ref) {
   return true;
 }
 
-void ObjectCache::Insert(ObjectRef ref, Tuple object, std::vector<PageId> pages,
-                         uint64_t epoch) {
-  // Dedup the page list once, outside the lock (Fix capture records every
-  // fix, and an assembly fixes header pages repeatedly).
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-
+void ObjectCache::Insert(ObjectRef ref, Tuple object, uint64_t epoch) {
   auto entry = std::make_shared<ObjCacheEntry>();
-  entry->bytes = sizeof(ObjCacheEntry) + DeepSizeOf(object) +
-                 pages.size() * sizeof(PageId) + kEntryOverhead;
+  entry->bytes = sizeof(ObjCacheEntry) + DeepSizeOf(object) + kEntryOverhead;
   entry->object = std::move(object);
-  entry->pages = std::move(pages);
 
   Shard& shard = ShardOf(ref);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.epoch != epoch) {
-    // An invalidation ran after this assembly sampled the epoch: the pages
-    // it read may have been mid-write. Never publish it.
+  if (epoch_.load() != epoch) {
+    // A write landed after this assembly sampled the epoch: the pages it
+    // read may have been mid-write. Never publish it.
     stats_.stale_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -167,9 +142,6 @@ void ObjectCache::Insert(ObjectRef ref, Tuple object, std::vector<PageId> pages,
     stats_.evictions.fetch_add(1, std::memory_order_relaxed);
   }
   auto lru_it = shard.lru.insert(shard.lru.end(), ref);
-  for (PageId page : entry->pages) {
-    shard.page_index[page].push_back(ref);
-  }
   shard.bytes += entry->bytes;
   stats_.bytes.fetch_add(entry->bytes, std::memory_order_relaxed);
   stats_.entries.fetch_add(1, std::memory_order_relaxed);
@@ -183,7 +155,7 @@ bool ObjectCache::LookupNegative(ObjectRef ref) {
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.neg_map.find(ref);
   if (it == shard.neg_map.end()) return false;
-  if (it->second.epoch != shard.epoch) {
+  if (it->second.epoch != epoch_.load()) {
     // A write ran since the verdict was recorded: the object may exist
     // now. Reap the stale entry instead of letting the LRU carry it.
     shard.neg_lru.erase(it->second.lru_it);
@@ -200,7 +172,7 @@ void ObjectCache::InsertNegative(ObjectRef ref, uint64_t epoch) {
   if (negative_capacity_ == 0) return;
   Shard& shard = ShardOf(ref);
   std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.epoch != epoch) {
+  if (epoch_.load() != epoch) {
     // A write overlapped the model probe; its NotFound verdict may already
     // be wrong (a concurrent Put can have created the object).
     stats_.stale_drops.fetch_add(1, std::memory_order_relaxed);
@@ -230,7 +202,7 @@ void ObjectCache::InvalidateRef(ObjectRef ref) {
   std::lock_guard<std::mutex> lock(shard.mu);
   // Bump even when absent: an in-flight assembly of `ref` may be about to
   // publish a pre-write snapshot, and the epoch is what stops it.
-  ++shard.epoch;
+  epoch_.fetch_add(1);
   if (EraseLocked(shard, ref)) {
     stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
   }
@@ -245,41 +217,17 @@ void ObjectCache::InvalidateRef(ObjectRef ref) {
   }
 }
 
-void ObjectCache::InvalidatePages(const std::vector<PageId>& pages) {
-  if (pages.empty()) return;
-  std::vector<ObjectRef> victims;
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    // Every shard's epoch moves: a write is in flight, and any concurrent
-    // assembly (whatever its ref) may have read a half-applied page.
-    ++shard.epoch;
-    victims.clear();
-    for (PageId page : pages) {
-      auto it = shard.page_index.find(page);
-      if (it == shard.page_index.end()) continue;
-      victims.insert(victims.end(), it->second.begin(), it->second.end());
-    }
-    for (ObjectRef ref : victims) {
-      if (EraseLocked(shard, ref)) {
-        stats_.invalidations.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-}
-
 void ObjectCache::Clear() {
+  epoch_.fetch_add(1);
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.epoch;
     stats_.invalidations.fetch_add(shard.map.size(),
                                    std::memory_order_relaxed);
     stats_.entries.fetch_sub(shard.map.size(), std::memory_order_relaxed);
     stats_.bytes.fetch_sub(shard.bytes, std::memory_order_relaxed);
     shard.map.clear();
     shard.lru.clear();
-    shard.page_index.clear();
     shard.bytes = 0;
     stats_.negative_entries.fetch_sub(shard.neg_map.size(),
                                       std::memory_order_relaxed);

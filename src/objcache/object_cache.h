@@ -8,7 +8,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "disk/page.h"
 #include "nf2/projection.h"
 #include "nf2/schema.h"
 #include "nf2/value.h"
@@ -27,23 +26,24 @@
 /// counterpart of the paper's page-granular Fig. 6 buffer study.
 ///
 /// Shape: a sharded, size-capped LRU map from ObjectRef to an immutable
-/// cache entry holding the fully assembled object (Projection::All) plus
-/// the set of buffer pages that backed the assembly. Entries are handed
-/// out as shared_ptr<const Entry> — the object-level analog of a PageGuard
-/// pin: an invalidation drops the cache's reference immediately, while a
-/// reader that already holds the entry keeps a consistent (pre-write)
-/// assembly alive until it lets go. Nothing is ever mutated in place, so a
-/// reader can never observe a half-invalidated entry.
+/// cache entry holding the fully assembled object (Projection::All).
+/// Entries are handed out as shared_ptr<const Entry> — the object-level
+/// analog of a PageGuard pin: an invalidation drops the cache's reference
+/// immediately, while a reader that already holds the entry keeps a
+/// consistent (pre-write) assembly alive until it lets go. Nothing is ever
+/// mutated in place, so a reader can never observe a half-invalidated
+/// entry.
 ///
 /// Invalidation protocol (see docs/OBJCACHE.md):
-///   * Write path — the store calls InvalidatePages(dirtied) +
-///     InvalidateRef(ref) after every applied write op, before the op is
-///     acknowledged. Page-based invalidation is the conservative net wired
-///     into the WAL write-capture machinery; ref-based invalidation is the
-///     logical backbone (every store write op targets exactly one object).
-///   * In-flight assemblies — a miss samples the shard's *epoch* before it
-///     reads any page; Insert discards the assembly when the epoch moved.
-///     Every invalidation bumps the epochs, so an assembly that overlapped
+///   * Write path — the store calls InvalidateRef(ref) after every applied
+///     write op, before the op is acknowledged. That is exact, not merely
+///     sufficient: every store write op (rollback compensations included)
+///     targets one ref, an entry is a deep-copied Tuple rather than page
+///     bytes, and no model op changes another object's logical value, so
+///     a write to a neighbour on a shared page leaves this entry current.
+///   * In-flight assemblies — a miss samples the cache-wide *epoch* before
+///     it reads any page; Insert discards the assembly when the epoch
+///     moved. Every InvalidateRef bumps it, so an assembly that overlapped
 ///     a write can never be published, even though it raced the writer.
 ///   * Crash / reopen — the cache lives and dies with the in-memory store:
 ///     ComplexObjectStore::Open creates it empty AFTER WAL replay or the
@@ -175,9 +175,8 @@ struct AtomicObjCacheStats {
 /// One cached assembly. Immutable after construction; shared between the
 /// cache and any readers still holding it (the pin).
 struct ObjCacheEntry {
-  Tuple object;               ///< the full assembly (Projection::All)
-  std::vector<PageId> pages;  ///< buffer pages observed while assembling
-  size_t bytes = 0;           ///< capacity charge (deep size + bookkeeping)
+  Tuple object;      ///< the full assembly (Projection::All)
+  size_t bytes = 0;  ///< capacity charge (deep size + bookkeeping)
 };
 
 /// A pinned reference to a cached assembly. Holding it keeps the (already
@@ -193,46 +192,40 @@ class ObjectCache {
 
   /// Probes for `ref`. On a hit the entry moves to the MRU end of its
   /// shard and a pinned reference is returned. On a miss returns null and,
-  /// when `epoch_out` is non-null, stores the shard's current invalidation
+  /// when `epoch_out` is non-null, stores the cache's current invalidation
   /// epoch — sample it BEFORE reading any page, and pass it to Insert so
   /// an assembly that overlapped an invalidation is discarded.
   ObjCacheEntryRef Lookup(ObjectRef ref, uint64_t* epoch_out = nullptr);
 
   /// Publishes an assembly produced after a Lookup miss returned `epoch`.
-  /// Discarded (counted as a stale drop) when the shard's epoch has moved
-  /// since — the write that moved it may have made this assembly stale.
-  /// Replaces an existing entry for `ref`; evicts LRU entries to fit;
-  /// silently skips objects larger than one shard's capacity slice.
-  void Insert(ObjectRef ref, Tuple object, std::vector<PageId> pages,
-              uint64_t epoch);
+  /// Discarded (counted as a stale drop) when the epoch has moved since —
+  /// the write that moved it may have made this assembly stale. Replaces
+  /// an existing entry for `ref`; evicts LRU entries to fit; silently
+  /// skips objects larger than one shard's capacity slice.
+  void Insert(ObjectRef ref, Tuple object, uint64_t epoch);
 
   /// True when `ref` is recorded as NOT existing and that knowledge is
-  /// still current (the recording shard's epoch has not moved since the
-  /// verdict was cached — every write bumps the epochs, so any write
-  /// anywhere conservatively voids all negative knowledge). A true return
-  /// means the caller can answer NotFound without reading a page.
+  /// still current (the epoch has not moved since the verdict was cached —
+  /// every write bumps the epoch, so any write anywhere conservatively
+  /// voids all negative knowledge). A true return means the caller can
+  /// answer NotFound without reading a page.
   bool LookupNegative(ObjectRef ref);
 
   /// Records that a lookup of `ref` fell through to the model and came
   /// back NotFound. `epoch` is the value Lookup handed out before the
-  /// model probe; the verdict is discarded when the shard's epoch has
-  /// moved since (a concurrent Put may have created the object mid-probe).
-  /// Bounded LRU per shard; no-op when negative caching is disabled.
+  /// model probe; the verdict is discarded when the epoch has moved since
+  /// (a concurrent Put may have created the object mid-probe). Bounded LRU
+  /// per shard; no-op when negative caching is disabled.
   void InsertNegative(ObjectRef ref, uint64_t epoch);
 
-  /// Drops the entry for `ref` (if any) and bumps the shard's epoch —
-  /// unconditionally, so in-flight assemblies of `ref` cannot publish.
-  /// Also erases any negative entry for `ref` (the usual caller is a Put,
-  /// after which the object exists).
+  /// Drops the entry for `ref` (if any) and bumps the cache-wide epoch —
+  /// unconditionally, so no assembly in flight when the write landed, of
+  /// `ref` or of any other object, can publish. Also erases any negative
+  /// entry for `ref` (the usual caller is a Put, after which the object
+  /// exists).
   void InvalidateRef(ObjectRef ref);
 
-  /// Drops every entry whose recorded backing-page set intersects `pages`,
-  /// and bumps EVERY shard's epoch (a write is in flight; any concurrent
-  /// assembly may have observed half-applied pages). The conservative net
-  /// fed from the WAL write capture's dirtied-page list.
-  void InvalidatePages(const std::vector<PageId>& pages);
-
-  /// Drops everything and bumps every epoch (wholesale invalidation).
+  /// Drops everything and bumps the epoch (wholesale invalidation).
   void Clear();
 
   ObjCacheStats stats() const { return stats_.Snapshot(); }
@@ -253,8 +246,8 @@ class ObjectCache {
     return *shards_[((ref * 0x9E3779B97F4A7C15ull) >> 56) & mask_];
   }
 
-  /// Unlinks `ref` from the shard's map/LRU/page index and releases its
-  /// capacity charge. Shard lock held. Returns false when absent.
+  /// Unlinks `ref` from the shard's map/LRU and releases its capacity
+  /// charge. Shard lock held. Returns false when absent.
   bool EraseLocked(Shard& shard, ObjectRef ref);
 
   ObjCacheOptions options_;
@@ -262,6 +255,12 @@ class ObjectCache {
   size_t negative_capacity_ = 0;  ///< negative entries per shard (0 = off)
   uint64_t mask_ = 0;          ///< shard count - 1 (count is a power of two)
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// Invalidation epoch: bumped by every Clear and every InvalidateRef,
+  /// the latter under its ref's shard lock. Lookup misses sample it and
+  /// Insert / InsertNegative refuse when it moved, each under its ref's
+  /// shard lock, so an invalidation of `ref` and a publish of `ref` are
+  /// ordered by the same mutex.
+  std::atomic<uint64_t> epoch_{0};
   mutable AtomicObjCacheStats stats_;
 };
 

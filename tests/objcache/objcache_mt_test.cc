@@ -36,8 +36,8 @@ Tuple ValueTuple(int32_t v) {
   return Tuple({Value::Int32(v), Value::Str("v-" + std::to_string(v))});
 }
 
-// Raw cache: lookups, epoch-guarded inserts, both invalidation flavors and
-// Clear, all concurrent, small capacity so eviction races everything else.
+// Raw cache: lookups, epoch-guarded inserts, ref invalidations (of the
+// probed ref and of a neighbour) and Clear, all concurrent, small capacity so eviction races everything else.
 TEST(ObjCacheMtTest, RawCacheSurvivesFullApiHammering) {
   ObjCacheOptions options;
   options.enabled = true;
@@ -58,7 +58,7 @@ TEST(ObjCacheMtTest, RawCacheSurvivesFullApiHammering) {
             cache.InvalidateRef(ref);
             break;
           case 1:
-            cache.InvalidatePages({static_cast<PageId>(ref), 7});
+            cache.InvalidateRef((ref + 1) % kRefs);
             break;
           case 2:
             if (i % 64 == 0) cache.Clear();
@@ -70,8 +70,7 @@ TEST(ObjCacheMtTest, RawCacheSurvivesFullApiHammering) {
               ASSERT_EQ(entry->object.values[0].as_int32(),
                         static_cast<int32_t>(ref));
             } else {
-              cache.Insert(ref, ValueTuple(static_cast<int32_t>(ref)),
-                           {static_cast<PageId>(ref)}, epoch);
+              cache.Insert(ref, ValueTuple(static_cast<int32_t>(ref)), epoch);
             }
             break;
           }
@@ -141,7 +140,8 @@ class ObjCacheMtStoreTest : public ::testing::TestWithParam<VolumeKind> {
   std::unique_ptr<ComplexObjectStore> store_;
 };
 
-// Phase 1: readers run full Gets (hits and re-assembly misses) while an
+// Phase 1: readers run full Gets and GetByKeys (hits and re-assembly
+// misses through both access paths) while an
 // invalidator thread yanks entries out from under them through every
 // invalidation entry point. No page is mutated, so this stays inside the
 // multi-reader contract — the cache machinery is the only thing racing.
@@ -159,7 +159,7 @@ TEST_P(ObjCacheMtStoreTest, ReadersRaceInvalidation) {
           cache->InvalidateRef(ref);
           break;
         case 1:
-          cache->InvalidatePages({static_cast<PageId>(rng.Uniform(64))});
+          cache->InvalidateRef(rng.Uniform(db_->objects().size()) + 1000);
           break;
         case 2:
           cache->Clear();
@@ -175,11 +175,14 @@ TEST_P(ObjCacheMtStoreTest, ReadersRaceInvalidation) {
   for (uint32_t t = 0; t < kReaderThreads; ++t) {
     pool.emplace_back([&, t] {
       ReadSession session = store_->OpenReadSession();
+      const Projection all = Projection::All(*db_->schema());
       Rng rng(0xFEED + t);
       for (int i = 0; i < 1500; ++i) {
         const size_t n = rng.Uniform(db_->objects().size());
         const auto& expect = db_->objects()[n];
-        auto got = session.Get(expect.ref);
+        auto got = i % 2 == 0 ? session.Get(expect.ref)
+                              : session.GetByKey(
+                                    expect.tuple.values[0].as_int32(), all);
         ASSERT_TRUE(got.ok()) << got.status().ToString();
         ASSERT_EQ(got.value(), expect.tuple) << "torn or stale assembly";
       }

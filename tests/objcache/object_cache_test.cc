@@ -1,4 +1,4 @@
-// Unit tests of the raw ObjectCache (LRU, capacity, epochs, page index)
+// Unit tests of the raw ObjectCache (LRU, capacity, epochs)
 // plus store-level correctness of the cached read paths: every cached
 // answer must be byte-equal to what the uncached store returns, across all
 // models, projections and write ops.
@@ -33,12 +33,10 @@ TEST(ObjectCacheTest, MissThenInsertThenHit) {
   ObjectCache cache(TinyOptions());
   uint64_t epoch = ~0ull;
   EXPECT_EQ(cache.Lookup(7, &epoch), nullptr);
-  cache.Insert(7, SmallTuple(7), {1, 2, 2, 1}, epoch);
+  cache.Insert(7, SmallTuple(7), epoch);
   ObjCacheEntryRef entry = cache.Lookup(7);
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->object, SmallTuple(7));
-  // The page list was deduped and sorted.
-  EXPECT_EQ(entry->pages, (std::vector<PageId>{1, 2}));
   const ObjCacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
@@ -56,7 +54,7 @@ TEST(ObjectCacheTest, CapacityEvictsLruFirst) {
     ObjectCache probe(TinyOptions());
     uint64_t epoch = 0;
     probe.Lookup(0, &epoch);
-    probe.Insert(0, SmallTuple(0), {}, epoch);
+    probe.Insert(0, SmallTuple(0), epoch);
     charge = probe.stats().bytes;
     ASSERT_GT(charge, 0u);
   }
@@ -64,14 +62,14 @@ TEST(ObjectCacheTest, CapacityEvictsLruFirst) {
   for (ObjectRef ref = 0; ref < 3; ++ref) {
     uint64_t epoch = 0;
     cache.Lookup(ref, &epoch);
-    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), {}, epoch);
+    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), epoch);
   }
   ASSERT_EQ(cache.stats().entries, 3u);
   // Touch 0 so 1 becomes the LRU victim.
   EXPECT_NE(cache.Lookup(0), nullptr);
   uint64_t epoch = 0;
   cache.Lookup(99, &epoch);
-  cache.Insert(99, SmallTuple(99), {}, epoch);
+  cache.Insert(99, SmallTuple(99), epoch);
   EXPECT_GT(cache.stats().evictions, 0u);
   EXPECT_NE(cache.Lookup(0), nullptr) << "recently touched entry evicted";
   EXPECT_EQ(cache.Lookup(1), nullptr) << "LRU entry survived";
@@ -82,63 +80,50 @@ TEST(ObjectCacheTest, OversizeEntryIsNotCached) {
   ObjectCache cache(TinyOptions(64, 1));  // smaller than any entry charge
   uint64_t epoch = 0;
   cache.Lookup(1, &epoch);
-  cache.Insert(1, SmallTuple(1), {}, epoch);
+  cache.Insert(1, SmallTuple(1), epoch);
   EXPECT_EQ(cache.Lookup(1), nullptr);
   EXPECT_EQ(cache.stats().entries, 0u);
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
 TEST(ObjectCacheTest, InvalidateRefDropsEntryAndBlocksStaleInsert) {
-  ObjectCache cache(TinyOptions());
+  ObjectCache cache(TinyOptions(1 << 20, 4));
   uint64_t epoch = 0;
   cache.Lookup(5, &epoch);  // miss: sample the pre-assembly epoch
   // A write races the assembly and invalidates before the insert.
   cache.InvalidateRef(5);
-  cache.Insert(5, SmallTuple(5), {}, epoch);
+  cache.Insert(5, SmallTuple(5), epoch);
   EXPECT_EQ(cache.Lookup(5), nullptr) << "stale assembly was published";
   EXPECT_EQ(cache.stats().stale_drops, 1u);
   EXPECT_EQ(cache.stats().inserts, 0u);
 
   // The non-racing sequence publishes fine...
-  uint64_t fresh_epoch = 0;
-  cache.Lookup(5, &fresh_epoch);
-  cache.Insert(5, SmallTuple(5), {}, fresh_epoch);
-  ASSERT_NE(cache.Lookup(5), nullptr);
-  // ...and a later invalidation drops the resident entry.
-  cache.InvalidateRef(5);
-  EXPECT_EQ(cache.Lookup(5), nullptr);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST(ObjectCacheTest, InvalidatePagesDropsEveryBackedEntry) {
-  ObjectCache cache(TinyOptions(1 << 20, 4));
   for (ObjectRef ref = 0; ref < 8; ++ref) {
-    uint64_t epoch = 0;
-    cache.Lookup(ref, &epoch);
-    // Even refs share page 100; odd refs live on their own page.
-    std::vector<PageId> pages =
-        (ref % 2 == 0) ? std::vector<PageId>{100, static_cast<PageId>(ref)}
-                       : std::vector<PageId>{static_cast<PageId>(200 + ref)};
-    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), pages, epoch);
+    uint64_t fresh_epoch = 0;
+    cache.Lookup(ref, &fresh_epoch);
+    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), fresh_epoch);
   }
   ASSERT_EQ(cache.stats().entries, 8u);
-  cache.InvalidatePages({100});
+  // ...and a later invalidation drops exactly the named entry.
+  cache.InvalidateRef(5);
   for (ObjectRef ref = 0; ref < 8; ++ref) {
-    if (ref % 2 == 0) {
-      EXPECT_EQ(cache.Lookup(ref), nullptr) << "ref " << ref;
-    } else {
-      EXPECT_NE(cache.Lookup(ref), nullptr) << "ref " << ref;
-    }
+    EXPECT_EQ(cache.Lookup(ref) == nullptr, ref == 5) << "ref " << ref;
   }
-  EXPECT_EQ(cache.stats().invalidations, 4u);
+  EXPECT_EQ(cache.stats().invalidations, 1u);
 
-  // InvalidatePages bumps EVERY shard's epoch: an insert with any
-  // pre-invalidation epoch must be refused, whatever its shard.
-  uint64_t epoch = 0;
-  cache.Lookup(1000, &epoch);
-  cache.InvalidatePages({42});
-  cache.Insert(1000, SmallTuple(1000), {}, epoch);
-  EXPECT_EQ(cache.Lookup(1000), nullptr);
+  // The epoch is cache-wide: any invalidation refuses every insert that
+  // sampled the epoch before it, whatever the inserted ref's shard.
+  std::vector<uint64_t> epochs(8);
+  for (ObjectRef ref = 100; ref < 108; ++ref) {
+    cache.Lookup(ref, &epochs[ref - 100]);
+  }
+  cache.InvalidateRef(3);
+  for (ObjectRef ref = 100; ref < 108; ++ref) {
+    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)),
+                 epochs[ref - 100]);
+    EXPECT_EQ(cache.Lookup(ref), nullptr) << "ref " << ref;
+  }
+  EXPECT_EQ(cache.stats().stale_drops, 9u);
 }
 
 TEST(ObjectCacheTest, ClearDropsEverythingAndKeepsGaugesConsistent) {
@@ -146,8 +131,7 @@ TEST(ObjectCacheTest, ClearDropsEverythingAndKeepsGaugesConsistent) {
   for (ObjectRef ref = 0; ref < 16; ++ref) {
     uint64_t epoch = 0;
     cache.Lookup(ref, &epoch);
-    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)),
-                 {static_cast<PageId>(ref)}, epoch);
+    cache.Insert(ref, SmallTuple(static_cast<int32_t>(ref)), epoch);
   }
   ASSERT_EQ(cache.stats().entries, 16u);
   cache.Clear();
@@ -165,7 +149,7 @@ TEST(ObjectCacheTest, PinnedEntrySurvivesInvalidation) {
   ObjectCache cache(TinyOptions());
   uint64_t epoch = 0;
   cache.Lookup(3, &epoch);
-  cache.Insert(3, SmallTuple(3), {}, epoch);
+  cache.Insert(3, SmallTuple(3), epoch);
   ObjCacheEntryRef pinned = cache.Lookup(3);
   ASSERT_NE(pinned, nullptr);
   cache.InvalidateRef(3);
@@ -177,7 +161,7 @@ TEST(ObjectCacheTest, ResetStatsKeepsGauges) {
   ObjectCache cache(TinyOptions());
   uint64_t epoch = 0;
   cache.Lookup(1, &epoch);
-  cache.Insert(1, SmallTuple(1), {}, epoch);
+  cache.Insert(1, SmallTuple(1), epoch);
   const uint64_t resident = cache.stats().bytes;
   cache.ResetStats();
   const ObjCacheStats stats = cache.stats();
@@ -218,9 +202,10 @@ TEST(ObjectCacheTest, NegativeVoidedByAnyWrite) {
   cache.Lookup(7, &epoch);
   cache.InsertNegative(7, epoch);
   ASSERT_TRUE(cache.LookupNegative(7));
-  // A page-based invalidation (fired by every store write) bumps all
-  // epochs, so the verdict dies even though ref 7 was never touched.
-  cache.InvalidatePages({55});
+  // Every store write invalidates its target ref, which bumps the
+  // cache-wide epoch, so the verdict dies even though ref 7 was never
+  // touched.
+  cache.InvalidateRef(55);
   EXPECT_FALSE(cache.LookupNegative(7));
   EXPECT_EQ(cache.stats().negative_entries, 0u) << "stale entry not reaped";
 }
@@ -301,6 +286,41 @@ class ObjCacheStoreTest : public ::testing::TestWithParam<StorageModelKind> {
 
   bool ByRef() const { return GetParam() != StorageModelKind::kNsm; }
 
+  /// Models whose unique key->ref map lets GetByKey use the cache; the
+  /// direct models never check key uniqueness and stay uncached by key.
+  bool CachesByKey() const {
+    return GetParam() == StorageModelKind::kDasdbsNsm ||
+           GetParam() == StorageModelKind::kNsmIndexed;
+  }
+
+  static int64_t KeyOf(const Tuple& object) {
+    return object.values[0].as_int32();
+  }
+
+  void CacheEveryObject() {
+    for (const auto& object : db_->objects()) {
+      ASSERT_TRUE(cached_->Get(object.ref).ok());
+    }
+  }
+
+  /// After a write to `written`, every other object must still be a cache
+  /// hit that fixes no page — a write invalidates its own ref only, even
+  /// when its neighbours share the pages it dirtied.
+  void ExpectNeighboursStillHit(ObjectRef written) {
+    cached_->ResetStats();
+    uint64_t neighbours = 0;
+    for (const auto& object : db_->objects()) {
+      if (object.ref == written) continue;
+      auto got = cached_->Get(object.ref);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value(), object.tuple) << "ref " << object.ref;
+      ++neighbours;
+    }
+    EXPECT_EQ(cached_->stats().buffer.fixes, 0u)
+        << "a write to ref " << written << " dropped a neighbour's entry";
+    EXPECT_EQ(cached_->objcache_stats().hits, neighbours);
+  }
+
   std::unique_ptr<bench::BenchmarkDatabase> db_;
   std::unique_ptr<ComplexObjectStore> cached_;
   std::unique_ptr<ComplexObjectStore> plain_;
@@ -341,6 +361,32 @@ TEST_P(ObjCacheStoreTest, HitsCauseNoPageFixes) {
   EXPECT_EQ(cached_->stats().buffer.fixes, 0u)
       << "a cache hit touched the page pool";
   EXPECT_EQ(cached_->objcache_stats().hits, 1u);
+
+  // Query 1b. The cold by-key read costs exactly the uncached store's
+  // full-object value scan; the warm one is free where the model maps keys
+  // to refs uniquely, and unchanged (uncached) on the direct models.
+  const Projection all = Projection::All(*db_->schema());
+  const int64_t key = KeyOf(db_->objects()[8].tuple);
+  plain_->ResetStats();
+  ASSERT_TRUE(plain_->GetByKey(key, all).ok());
+  const uint64_t uncached_fixes = plain_->stats().buffer.fixes;
+  ASSERT_GT(uncached_fixes, 0u);
+  cached_->ResetStats();
+  ASSERT_TRUE(cached_->GetByKey(key, all).ok());
+  EXPECT_EQ(cached_->stats().buffer.fixes, uncached_fixes)
+      << "a by-key miss read differently from the uncached store";
+  cached_->ResetStats();
+  auto by_key = cached_->GetByKey(key, all);
+  ASSERT_TRUE(by_key.ok());
+  EXPECT_EQ(by_key.value(), db_->objects()[8].tuple);
+  if (CachesByKey()) {
+    EXPECT_EQ(cached_->stats().buffer.fixes, 0u)
+        << "a warm GetByKey touched the page pool";
+    EXPECT_EQ(cached_->objcache_stats().hits, 1u);
+  } else {
+    EXPECT_EQ(cached_->stats().buffer.fixes, uncached_fixes);
+    EXPECT_EQ(cached_->objcache_stats().hits, 0u);
+  }
 }
 
 TEST_P(ObjCacheStoreTest, ProjectedGetsMatchUncachedStore) {
@@ -377,6 +423,53 @@ TEST_P(ObjCacheStoreTest, ProjectedGetsMatchUncachedStore) {
           << "hit path diverged, projection " << proj.ToString();
     }
   }
+  // The same projections by key, each from an empty cache: the first read
+  // is a by-key miss that assembles the full object, the second a hit.
+  for (const auto& object : db_->objects()) {
+    const int64_t key = KeyOf(object.tuple);
+    for (const Projection& proj : projections) {
+      cached_->InvalidateObjectCache();
+      auto from_plain = plain_->GetByKey(key, proj);
+      auto from_miss = cached_->GetByKey(key, proj);
+      auto from_hit = cached_->GetByKey(key, proj);
+      ASSERT_TRUE(from_plain.ok());
+      ASSERT_TRUE(from_miss.ok());
+      ASSERT_TRUE(from_hit.ok());
+      EXPECT_EQ(from_miss.value(), from_plain.value())
+          << "by-key miss diverged, projection " << proj.ToString();
+      EXPECT_EQ(from_hit.value(), from_plain.value())
+          << "by-key hit diverged, projection " << proj.ToString();
+    }
+  }
+  // Two objects under one key, both cached by ref: the direct models
+  // accept the second Put (they never check key uniqueness) and GetByKey
+  // answers whichever object their scan settles on — the cache must not
+  // change which. The normalized models refuse the Put in both stores.
+  Tuple twin = db_->objects()[0].tuple;
+  twin.values[1] = Value::Int32(777777);
+  const ObjectRef twin_ref = 9100;
+  const Status plain_put = plain_->Put(twin_ref, twin);
+  const Status cached_put = cached_->Put(twin_ref, twin);
+  EXPECT_EQ(cached_put.ToString(), plain_put.ToString());
+  if (GetParam() == StorageModelKind::kDsm) {
+    ASSERT_TRUE(plain_put.ok()) << plain_put.ToString();
+  }
+  ASSERT_TRUE(cached_->Get(0).ok());
+  if (cached_put.ok()) {
+    ASSERT_TRUE(cached_->Get(twin_ref).ok());
+  }
+  for (const Projection& proj : projections) {
+    auto from_plain = plain_->GetByKey(KeyOf(twin), proj);
+    auto from_cached = cached_->GetByKey(KeyOf(twin), proj);
+    auto again = cached_->GetByKey(KeyOf(twin), proj);
+    ASSERT_TRUE(from_plain.ok());
+    ASSERT_TRUE(from_cached.ok());
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(from_cached.value(), from_plain.value())
+        << "duplicate-key answer diverged, projection " << proj.ToString();
+    EXPECT_EQ(again.value(), from_plain.value())
+        << "duplicate-key answer diverged, projection " << proj.ToString();
+  }
 }
 
 TEST_P(ObjCacheStoreTest, ChildrenAndRootRecordMatchUncachedStore) {
@@ -406,24 +499,32 @@ TEST_P(ObjCacheStoreTest, NavigationMissesDoNotPopulate) {
 
 TEST_P(ObjCacheStoreTest, ReplaceInvalidatesBeforeAck) {
   if (!ByRef()) GTEST_SKIP();
-  ASSERT_TRUE(cached_->Get(5).ok());  // cached
+  CacheEveryObject();
   Tuple replacement = db_->objects()[5].tuple;
   replacement.values[1] = Value::Int32(424242);
   ASSERT_TRUE(cached_->Replace(5, replacement).ok());
-  EXPECT_GT(cached_->objcache_stats().invalidations, 0u);
+  EXPECT_EQ(cached_->objcache_stats().invalidations, 1u);
+  ExpectNeighboursStillHit(5);
   auto after = cached_->Get(5);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value(), replacement) << "stale assembly served after write";
+  if (CachesByKey()) {
+    auto by_key = cached_->GetByKey(KeyOf(replacement),
+                                    Projection::All(*db_->schema()));
+    ASSERT_TRUE(by_key.ok());
+    EXPECT_EQ(by_key.value(), replacement) << "stale by-key answer";
+  }
 }
 
 TEST_P(ObjCacheStoreTest, UpdateRootRecordInvalidates) {
   if (!ByRef()) GTEST_SKIP();
-  ASSERT_TRUE(cached_->Get(4).ok());
+  CacheEveryObject();
   auto root = cached_->RootRecord(4);
   ASSERT_TRUE(root.ok());
   Tuple updated = root.value();
   updated.values[1] = Value::Int32(999);
   ASSERT_TRUE(cached_->UpdateRootRecord(4, updated).ok());
+  ExpectNeighboursStillHit(4);
   auto after = cached_->RootRecord(4);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after->values[1].as_int32(), 999);
@@ -434,10 +535,17 @@ TEST_P(ObjCacheStoreTest, UpdateRootRecordInvalidates) {
 
 TEST_P(ObjCacheStoreTest, RemoveInvalidates) {
   if (!ByRef()) GTEST_SKIP();
-  ASSERT_TRUE(cached_->Get(6).ok());
+  CacheEveryObject();
   ASSERT_TRUE(cached_->Remove(6).ok());
+  ExpectNeighboursStillHit(6);
   EXPECT_TRUE(cached_->Get(6).status().IsNotFound())
       << "cache resurrected a removed object";
+  const int64_t key = KeyOf(db_->objects()[6].tuple);
+  const Projection all = Projection::All(*db_->schema());
+  ASSERT_TRUE(plain_->Remove(6).ok());
+  EXPECT_EQ(cached_->GetByKey(key, all).status().ToString(),
+            plain_->GetByKey(key, all).status().ToString())
+      << "cache answered a removed key";
 }
 
 TEST_P(ObjCacheStoreTest, RepeatedMissingGetIsNegativelyCachedAndByteEqual) {
@@ -500,63 +608,77 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Persistent stores: write-capture (page-based) invalidation and the
-// cold-start-on-reopen contract over the mmap backend.
+// Persistent stores: the WAL write path's invalidation and the
+// cold-start-on-reopen contract over the mmap backend, for every model
+// the cache serves.
 TEST(ObjCachePersistentTest, WalWritePathInvalidatesAndReopenStartsCold) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "starfish_objcache_persist")
-          .string();
-  std::filesystem::remove_all(dir);
-
   bench::GeneratorConfig config;
   config.n_objects = 12;
   config.seed = 7;
   auto db = bench::BenchmarkDatabase::Generate(config);
   ASSERT_TRUE(db.ok());
 
-  StoreOptions options;
-  options.model = StorageModelKind::kDasdbsNsm;
-  options.backend = VolumeKind::kMmap;
-  options.path = dir;
-  options.objcache.enabled = true;
-  options.wal_sync = WalSyncPolicy::kAlways;
-  {
-    auto store_or = ComplexObjectStore::Open(db->schema(), options);
-    ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
-    auto store = std::move(store_or).value();
-    for (const auto& object : db->objects()) {
-      ASSERT_TRUE(store->Put(object.ref, object.tuple).ok());
-    }
-    for (const auto& object : db->objects()) {
-      ASSERT_TRUE(store->Get(object.ref).ok());
-    }
-    ASSERT_EQ(store->objcache_stats().entries, db->objects().size());
+  for (StorageModelKind kind :
+       {StorageModelKind::kDsm, StorageModelKind::kDasdbsDsm,
+        StorageModelKind::kNsmIndexed, StorageModelKind::kDasdbsNsm}) {
+    SCOPED_TRACE(ToString(kind));
+    const std::string dir =
+        (std::filesystem::temp_directory_path() / "starfish_objcache_persist")
+            .string();
+    std::filesystem::remove_all(dir);
+    StoreOptions options;
+    options.model = kind;
+    options.backend = VolumeKind::kMmap;
+    options.path = dir;
+    options.objcache.enabled = true;
+    options.wal_sync = WalSyncPolicy::kAlways;
+    {
+      auto store_or = ComplexObjectStore::Open(db->schema(), options);
+      ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
+      auto store = std::move(store_or).value();
+      for (const auto& object : db->objects()) {
+        ASSERT_TRUE(store->Put(object.ref, object.tuple).ok());
+      }
+      for (const auto& object : db->objects()) {
+        ASSERT_TRUE(store->Get(object.ref).ok());
+      }
+      ASSERT_EQ(store->objcache_stats().entries, db->objects().size());
 
-    Tuple replacement = db->objects()[0].tuple;
-    replacement.values[1] = Value::Int32(31337);
-    ASSERT_TRUE(store->Replace(0, replacement).ok());
-    // The WAL write capture fed page-based invalidation: at minimum the
-    // replaced object's assembly is gone, and the page net may have taken
-    // neighbors on shared slotted pages with it.
-    EXPECT_GT(store->objcache_stats().invalidations, 0u);
-    auto after = store->Get(0);
-    ASSERT_TRUE(after.ok());
-    EXPECT_EQ(after.value(), replacement);
-    ASSERT_TRUE(store->Flush().ok());
+      Tuple replacement = db->objects()[0].tuple;
+      replacement.values[1] = Value::Int32(31337);
+      ASSERT_TRUE(store->Replace(0, replacement).ok());
+      // Exactly the replaced object's assembly is gone; its neighbours on
+      // the pages the write dirtied stay hits that fix no page.
+      EXPECT_EQ(store->objcache_stats().invalidations, 1u);
+      store->ResetStats();
+      for (const auto& object : db->objects()) {
+        if (object.ref == 0) continue;
+        auto got = store->Get(object.ref);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(got.value(), object.tuple);
+      }
+      EXPECT_EQ(store->stats().buffer.fixes, 0u);
+      EXPECT_EQ(store->objcache_stats().hits, db->objects().size() - 1);
+      auto after = store->Get(0);
+      ASSERT_TRUE(after.ok());
+      EXPECT_EQ(after.value(), replacement);
+      ASSERT_TRUE(store->Flush().ok());
+    }
+
+    // Reopen: the cache must start empty (assemblies never persist).
+    auto reopened_or = ComplexObjectStore::Open(db->schema(), options);
+    ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
+    auto reopened = std::move(reopened_or).value();
+    ASSERT_NE(reopened->object_cache(), nullptr);
+    const ObjCacheStats cold = reopened->objcache_stats();
+    EXPECT_EQ(cold.entries, 0u);
+    EXPECT_EQ(cold.hits + cold.misses, 0u);
+    auto got = reopened->Get(3);
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got.value(), db->objects()[3].tuple);
+    reopened.reset();
+    std::filesystem::remove_all(dir);
   }
-
-  // Reopen: the cache must start empty (assemblies never persist).
-  auto reopened_or = ComplexObjectStore::Open(db->schema(), options);
-  ASSERT_TRUE(reopened_or.ok()) << reopened_or.status().ToString();
-  auto reopened = std::move(reopened_or).value();
-  ASSERT_NE(reopened->object_cache(), nullptr);
-  const ObjCacheStats cold = reopened->objcache_stats();
-  EXPECT_EQ(cold.entries, 0u);
-  EXPECT_EQ(cold.hits + cold.misses, 0u);
-  auto got = reopened->Get(3);
-  ASSERT_TRUE(got.ok());
-  EXPECT_EQ(got.value(), db->objects()[3].tuple);
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
