@@ -3,8 +3,8 @@
 //
 // Each cell opens a fresh mmap-backed store, partitions a generated object
 // set across N writer threads, and has every thread Put its slice while
-// timing each call individually (a Put under kAlways/kGroup blocks until
-// the record is fsync-durable, so the per-call wall time IS the commit
+// timing each call individually (a Put under kAlways blocks until the
+// record is fsync-durable, so the per-call wall time IS the commit
 // latency). The interesting comparison is down the policy axis at fixed
 // writer count:
 //
@@ -14,16 +14,14 @@
 //           contemporaries into one fsync, so mean latency should FALL as
 //           writers rise — the Samsung-IO-stack observation that one fsync
 //           can carry many writers' durability work.
-//   group   same, after the leader waits group_interval_us for more
-//           committers to join the epoch: higher per-commit latency, fewer
-//           fsyncs per acknowledged commit.
 //
 // Two further sections ride along:
 //
 //   * apply scaling — kDsm with write_stripes {1, 4}, wal_sync none, N
 //     writers on disjoint stripes: how much of the write path actually
 //     runs in parallel once per-segment latches replace the store-wide
-//     write mutex (the stripes=1 row IS the serialized baseline).
+//     write mutex (the stripes=1 row IS the serialized baseline). Each
+//     Put is timed, so p50/p99 are per-op latencies.
 //   * transactions — one writer under kAlways comparing 8 autonomous Puts
 //     (8 durability waits) against Begin + 8 Puts + Commit (one wait) and
 //     Begin + 8 Puts + Rollback (compensations + abort marker).
@@ -31,16 +29,14 @@
 // Writes BENCH_wal.json. Ungated in CI (fsync latency is runner hardware;
 // archive the artifact and watch the trend until the numbers stabilize).
 //
-// Usage: bench_wal [--ops N] [--group-interval-us N] [--dir PATH]
-//                  [--txn] [--tiny]
-//   --ops                per-writer Put count per cell (default 192;
-//                        fsync-bound cells dominate the runtime)
-//   --group-interval-us  kGroup accumulation window (default 100)
-//   --dir                scratch directory root (default: system temp —
-//                        point it at a real disk to measure real fsyncs)
-//   --txn                run only the apply-scaling and transaction
-//                        sections (the ci/check.sh txn stage)
-//   --tiny               shrink op counts for a smoke run (no JSON)
+// Usage: bench_wal [--ops N] [--dir PATH] [--txn] [--tiny]
+//   --ops   per-writer Put count per cell (default 192; fsync-bound cells
+//           dominate the runtime)
+//   --dir   scratch directory root (default: system temp — point it at a
+//           real disk to measure real fsyncs)
+//   --txn   run only the apply-scaling and transaction sections (the
+//           ci/check.sh txn stage)
+//   --tiny  shrink op counts for a smoke run (no JSON)
 
 #include <algorithm>
 #include <atomic>
@@ -85,21 +81,24 @@ void Fatal(const char* what, const Status& st) {
   std::exit(1);
 }
 
-/// One benchmark cell: N writers Put their slices concurrently; per-call
-/// latencies are collected, merged and summarized.
-CellResult RunCell(const bench::BenchmarkDatabase& db, const Policy& policy,
-                   uint32_t writers, uint64_t ops_per_writer,
-                   uint32_t group_interval_us, const std::string& dir) {
-  std::filesystem::remove_all(dir);
-  StoreOptions options;
-  options.backend = VolumeKind::kMmap;
-  options.path = dir;
-  options.wal_sync = policy.sync;
-  options.wal_group_interval_us = group_interval_us;
-  auto store_or = ComplexObjectStore::Open(db.schema(), options);
-  if (!store_or.ok()) Fatal("open store", store_or.status());
-  auto store = std::move(store_or).value();
+/// Sets mean/p50/p99 from per-op latencies (microseconds, any order).
+void Summarize(std::vector<double> us, CellResult* r) {
+  std::sort(us.begin(), us.end());
+  double sum = 0;
+  for (double v : us) sum += v;
+  r->mean_us = sum / static_cast<double>(us.size());
+  r->p50_us = us[us.size() / 2];
+  r->p99_us = us[us.size() * 99 / 100];
+}
 
+/// Releases `writers` threads together; thread w Puts db.objects()[i] for
+/// every i in `slice(w)`, timing each call. Returns the per-call latencies
+/// of all threads merged (microseconds) and the wall time from the common
+/// start to the last join in `elapsed_s`.
+template <typename Slice>
+std::vector<double> TimedPuts(const bench::BenchmarkDatabase& db,
+                              ComplexObjectStore* store, uint32_t writers,
+                              Slice slice, double* elapsed_s) {
   std::vector<std::vector<double>> latencies(writers);
   std::atomic<uint32_t> ready{0};
   std::atomic<bool> go{false};
@@ -107,12 +106,13 @@ CellResult RunCell(const bench::BenchmarkDatabase& db, const Policy& policy,
   pool.reserve(writers);
   for (uint32_t w = 0; w < writers; ++w) {
     pool.emplace_back([&, w] {
-      latencies[w].reserve(ops_per_writer);
+      const std::vector<uint64_t> indices = slice(w);
+      latencies[w].reserve(indices.size());
       ready.fetch_add(1);
       while (!go.load(std::memory_order_acquire)) {
       }
-      for (uint64_t i = 0; i < ops_per_writer; ++i) {
-        const auto& object = db.objects()[w * ops_per_writer + i];
+      for (uint64_t i : indices) {
+        const auto& object = db.objects()[i];
         const auto start = Clock::now();
         const Status st = store->Put(object.ref, object.tuple);
         const std::chrono::duration<double, std::micro> took =
@@ -128,28 +128,51 @@ CellResult RunCell(const bench::BenchmarkDatabase& db, const Policy& policy,
   go.store(true, std::memory_order_release);
   for (auto& th : pool) th.join();
   const std::chrono::duration<double> elapsed = Clock::now() - start;
-  store.reset();  // checkpoint + truncate outside the timed region
-  std::filesystem::remove_all(dir);
+  *elapsed_s = elapsed.count();
 
   std::vector<double> merged;
-  merged.reserve(writers * ops_per_writer);
   for (const auto& per_thread : latencies) {
     merged.insert(merged.end(), per_thread.begin(), per_thread.end());
   }
-  std::sort(merged.begin(), merged.end());
+  return merged;
+}
+
+/// One benchmark cell: N writers Put their contiguous slices concurrently;
+/// per-call latencies are collected, merged and summarized.
+CellResult RunCell(const bench::BenchmarkDatabase& db, const Policy& policy,
+                   uint32_t writers, uint64_t ops_per_writer,
+                   const std::string& dir) {
+  std::filesystem::remove_all(dir);
+  StoreOptions options;
+  options.backend = VolumeKind::kMmap;
+  options.path = dir;
+  options.wal_sync = policy.sync;
+  auto store_or = ComplexObjectStore::Open(db.schema(), options);
+  if (!store_or.ok()) Fatal("open store", store_or.status());
+  auto store = std::move(store_or).value();
+
+  double elapsed_s = 0;
+  std::vector<double> us = TimedPuts(
+      db, store.get(), writers,
+      [&](uint32_t w) {
+        std::vector<uint64_t> indices(ops_per_writer);
+        for (uint64_t i = 0; i < ops_per_writer; ++i) {
+          indices[i] = w * ops_per_writer + i;
+        }
+        return indices;
+      },
+      &elapsed_s);
+  store.reset();  // checkpoint + truncate outside the timed region
+  std::filesystem::remove_all(dir);
 
   CellResult r;
   r.policy = policy.name;
   r.writers = writers;
   r.name = std::string("wal_commit_") + policy.name + "_t" +
            std::to_string(writers);
-  r.total_ops = merged.size();
-  r.ops_per_sec = static_cast<double>(r.total_ops) / elapsed.count();
-  double sum = 0;
-  for (double us : merged) sum += us;
-  r.mean_us = sum / static_cast<double>(merged.size());
-  r.p50_us = merged[merged.size() / 2];
-  r.p99_us = merged[merged.size() * 99 / 100];
+  r.total_ops = us.size();
+  r.ops_per_sec = static_cast<double>(r.total_ops) / elapsed_s;
+  Summarize(std::move(us), &r);
   return r;
 }
 
@@ -174,32 +197,15 @@ CellResult RunApplyCell(const bench::BenchmarkDatabase& db, uint32_t stripes,
   auto store = std::move(store_or).value();
 
   const uint64_t total = writers * ops_per_writer;
-  std::atomic<uint32_t> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> pool;
-  pool.reserve(writers);
-  std::atomic<uint64_t> done{0};
-  for (uint32_t w = 0; w < writers; ++w) {
-    pool.emplace_back([&, w] {
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      uint64_t ops = 0;
-      for (uint64_t i = w; i < total; i += writers) {
-        const auto& object = db.objects()[i];
-        const Status st = store->Put(object.ref, object.tuple);
-        if (!st.ok()) Fatal("striped put", st);
-        ++ops;
-      }
-      done.fetch_add(ops);
-    });
-  }
-  while (ready.load() != writers) {
-  }
-  const auto start = Clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& th : pool) th.join();
-  const std::chrono::duration<double> elapsed = Clock::now() - start;
+  double elapsed_s = 0;
+  std::vector<double> us = TimedPuts(
+      db, store.get(), writers,
+      [&](uint32_t w) {
+        std::vector<uint64_t> indices;
+        for (uint64_t i = w; i < total; i += writers) indices.push_back(i);
+        return indices;
+      },
+      &elapsed_s);
   store.reset();
   std::filesystem::remove_all(dir);
 
@@ -208,10 +214,9 @@ CellResult RunApplyCell(const bench::BenchmarkDatabase& db, uint32_t stripes,
   r.writers = writers;
   r.name = "wal_apply_dsm_s" + std::to_string(stripes) + "_t" +
            std::to_string(writers);
-  r.total_ops = done.load();
-  r.ops_per_sec = static_cast<double>(r.total_ops) / elapsed.count();
-  const double mean_us = 1e6 * elapsed.count() / static_cast<double>(r.total_ops);
-  r.mean_us = r.p50_us = r.p99_us = mean_us;  // throughput cell: no per-op dist
+  r.total_ops = us.size();
+  r.ops_per_sec = static_cast<double>(r.total_ops) / elapsed_s;
+  Summarize(std::move(us), &r);
   return r;
 }
 
@@ -220,14 +225,12 @@ CellResult RunApplyCell(const bench::BenchmarkDatabase& db, uint32_t stripes,
 /// Begin..Commit, "abort" = Begin..Rollback).
 CellResult RunTxnCell(const bench::BenchmarkDatabase& db,
                       const std::string& mode, uint64_t batches,
-                      uint32_t batch, uint32_t group_interval_us,
-                      const std::string& dir) {
+                      uint32_t batch, const std::string& dir) {
   std::filesystem::remove_all(dir);
   StoreOptions options;
   options.backend = VolumeKind::kMmap;
   options.path = dir;
   options.wal_sync = WalSyncPolicy::kAlways;
-  options.wal_group_interval_us = group_interval_us;
   auto store_or = ComplexObjectStore::Open(db.schema(), options);
   if (!store_or.ok()) Fatal("open store", store_or.status());
   auto store = std::move(store_or).value();
@@ -266,18 +269,13 @@ CellResult RunTxnCell(const bench::BenchmarkDatabase& db,
   store.reset();
   std::filesystem::remove_all(dir);
 
-  std::sort(latencies.begin(), latencies.end());
   CellResult r;
   r.policy = "always";
   r.writers = 1;
   r.name = "wal_txn_" + mode + std::to_string(batch);
   r.total_ops = batches * batch;
   r.ops_per_sec = static_cast<double>(r.total_ops) / elapsed.count();
-  double sum = 0;
-  for (double us : latencies) sum += us;
-  r.mean_us = sum / static_cast<double>(latencies.size());
-  r.p50_us = latencies[latencies.size() / 2];
-  r.p99_us = latencies[latencies.size() * 99 / 100];
+  Summarize(std::move(latencies), &r);
   return r;
 }
 
@@ -310,7 +308,6 @@ void WriteJson(const std::vector<CellResult>& results, const char* path) {
 int main(int argc, char** argv) {
   using namespace starfish;
   uint64_t ops_per_writer = 192;
-  uint32_t group_interval_us = 100;
   std::string dir_root;
   bool txn_only = false;
   bool tiny = false;
@@ -318,9 +315,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--ops" && i + 1 < argc) {
       ops_per_writer = std::strtoull(argv[++i], nullptr, 10);
-    } else if (arg == "--group-interval-us" && i + 1 < argc) {
-      group_interval_us =
-          static_cast<uint32_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (arg == "--dir" && i + 1 < argc) {
       dir_root = argv[++i];
     } else if (arg == "--txn") {
@@ -329,8 +323,7 @@ int main(int argc, char** argv) {
       tiny = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--ops N] [--group-interval-us N] [--dir "
-                   "PATH] [--txn] [--tiny]\n",
+                   "usage: %s [--ops N] [--dir PATH] [--txn] [--tiny]\n",
                    argv[0]);
       return 2;
     }
@@ -356,13 +349,10 @@ int main(int argc, char** argv) {
   const Policy policies[] = {
       {"none", WalSyncPolicy::kNone},
       {"always", WalSyncPolicy::kAlways},
-      {"group", WalSyncPolicy::kGroup},
   };
 
-  std::printf(
-      "mmap backend at %s, %llu puts/writer, group interval %u us\n\n",
-      dir_root.c_str(), static_cast<unsigned long long>(ops_per_writer),
-      group_interval_us);
+  std::printf("mmap backend at %s, %llu puts/writer\n\n", dir_root.c_str(),
+              static_cast<unsigned long long>(ops_per_writer));
   std::printf("%-22s %8s %12s %10s %10s %10s\n", "cell", "writers", "ops/sec",
               "mean us", "p50 us", "p99 us");
 
@@ -376,7 +366,7 @@ int main(int argc, char** argv) {
   if (!txn_only) {
     for (const Policy& policy : policies) {
       for (uint32_t writers : kWriterCounts) {
-        show(RunCell(db, policy, writers, ops_per_writer, group_interval_us,
+        show(RunCell(db, policy, writers, ops_per_writer,
                      dir_root + "_cell"));
       }
     }
@@ -396,8 +386,7 @@ int main(int argc, char** argv) {
   const uint64_t batches =
       std::max<uint64_t>(1, ops_per_writer * kWriterCounts[0] / batch);
   for (const char* mode : {"auto", "commit", "abort"}) {
-    show(RunTxnCell(db, mode, batches, batch, group_interval_us,
-                    dir_root + "_cell"));
+    show(RunTxnCell(db, mode, batches, batch, dir_root + "_cell"));
   }
 
   if (tiny) {

@@ -79,11 +79,12 @@ echo "== WAL crash matrix =="
 # The multi-writer durability gate: concurrent writers + power loss at
 # every log-append/log-sync/checkpoint fault point (including torn log
 # tails) must recover every acknowledged commit; torn-tail replay is swept
-# at every record boundary across all five models. These run in ctest too;
+# at every record boundary across all five models; a failed kNone spill
+# must poison the log and reopen at the checkpoint. These run in ctest too;
 # like the volume matrix above, the dedicated stage keeps the WAL signal
 # loud and self-contained.
 "$BUILD_DIR/starfish_tests" \
-    --gtest_filter='*WalCrash*:*WalReplay*:*WalFormat*:*RecordManagerMt*'
+    --gtest_filter='*WalCrash*:*WalReplay*:*WalFormat*:*WalSpill*:*RecordManagerMt*'
 
 echo "== transactions + parallel segment applies =="
 # The write-arc stage: multi-op transaction semantics (commit, rollback,
@@ -109,9 +110,11 @@ rm -rf "$WAL_DIR"
 "$BUILD_DIR/sf_fsck" "$WAL_DIR"
 
 echo "== WAL commit-latency bench =="
-# Commit latency vs writer count x sync policy over the mmap backend
-# (emits BENCH_wal.json). Ungated: fsync latency is runner hardware;
-# archive the artifact and watch the trend until the numbers stabilize.
+# Commit latency vs writer count x sync policy (none, always) over the
+# mmap backend, plus per-Put apply latency vs write stripes and the
+# transaction rows (emits BENCH_wal.json). Ungated: fsync latency is
+# runner hardware; archive the artifact and watch the trend until the
+# numbers stabilize.
 (cd "$BUILD_DIR" && ./bench_wal)
 
 echo "== fsck over the example persistent volume =="

@@ -133,8 +133,6 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
   StorageEngineOptions engine_options;
   engine_options.disk.page_size = options.page_size;
   engine_options.buffer.frame_count = options.buffer_frames;
-  engine_options.buffer.policy = options.replacement;
-  engine_options.buffer.write_batch_size = options.write_batch_size;
   engine_options.buffer.shard_count = options.buffer_shards;
   engine_options.backend = options.backend;
   engine_options.path = options.path;
@@ -265,7 +263,7 @@ Status ComplexObjectStore::AttachWalAndRecover(bool reopen,
   // fallback (trust only the committed state: for a reopen the catalog —
   // restored by the scrub below; for a fresh directory the empty store,
   // already in place after ReconcileLive({})). Replay also runs WITHOUT a
-  // committed catalog: under kAlways/kGroup, commits of the first
+  // committed catalog: under kAlways, commits of the first
   // checkpoint interval were acknowledged durable on the strength of the
   // log alone, and re-running them onto the empty initial state is what
   // makes that acknowledgement honest.
@@ -314,7 +312,6 @@ Status ComplexObjectStore::AttachWalAndRecover(bool reopen,
   }
   WalManagerOptions wal_options;
   wal_options.sync = options_.wal_sync;
-  wal_options.group_interval_us = options_.wal_group_interval_us;
   // Forcing the rebuild on the scrub path: pass an empty scan so the
   // manager replaces the file instead of appending after a discarded tail.
   STARFISH_ASSIGN_OR_RETURN(

@@ -71,12 +71,6 @@ struct StoreOptions {
   /// Buffer pool frames (DASDBS testbed: 1200).
   uint32_t buffer_frames = 1200;
 
-  /// Buffer replacement policy.
-  ReplacementPolicy replacement = ReplacementPolicy::kLru;
-
-  /// Pages per chained write-back call.
-  uint32_t write_batch_size = 32;
-
   /// Equation-1 service-time coefficients (defaults model a period disk);
   /// EstimatedIoMillis() prices the I/O counters with them.
   LinearTimingModel timing;
@@ -121,13 +115,10 @@ struct StoreOptions {
   /// contract and the default: ops are logged but commit returns
   /// immediately, durability arrives at the next Flush checkpoint (the log
   /// still shrinks the loss window to the last group-commit epoch and keeps
-  /// every flushed page explained). kAlways/kGroup — every Put/Replace/
-  /// Remove/UpdateRootRecord blocks until its record is fsync'd, leader-
-  /// batched across concurrent writers (group commit). See docs/WAL.md.
+  /// every flushed page explained). kAlways — every Put/Replace/Remove/
+  /// UpdateRootRecord blocks until its record is fsync'd, leader-batched
+  /// across concurrent writers (group commit). See docs/WAL.md.
   WalSyncPolicy wal_sync = WalSyncPolicy::kNone;
-
-  /// kGroup epoch accumulation window, microseconds.
-  uint32_t wal_group_interval_us = 100;
 
   /// Reopen via the full committed-state scrub instead of WAL replay, and
   /// DISCARD the log tail beyond the committed checkpoint — acked-but-
@@ -196,7 +187,7 @@ class StoreTransaction {
   Status Remove(ObjectRef ref);
 
   /// Seals the transaction: appends the kTxnCommit marker and (under
-  /// kAlways/kGroup) waits for it to be durable. After OK, every op in the
+  /// kAlways) waits for it to be durable. After OK, every op in the
   /// transaction survives crash recovery.
   Status Commit();
 
@@ -454,7 +445,7 @@ class ComplexObjectStore {
   Result<StoreTransaction::UndoRecord> CaptureUndo(WalRecordKind kind,
                                                    ObjectRef ref);
 
-  /// Appends a txn marker record and (for kTxnCommit under kAlways/kGroup)
+  /// Appends a txn marker record and (for kTxnCommit under kAlways)
   /// waits for durability.
   Status AppendTxnMarker(WalRecordKind kind, uint64_t txn_id, bool wait);
 

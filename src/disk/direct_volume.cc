@@ -221,9 +221,14 @@ struct DirectVolume::IoRing {
   /// use_count()==1 observation carries no such edge.
   std::atomic<bool> owner_detached{false};
 
-  // Registration state. Owner-thread-only.
-  bool want_buffers = false;
-  bool want_files = false;
+  // Registration state. Owner-thread-only. Every ring pre-registers the
+  // RegisterIoMemory regions as fixed buffers (IORING_REGISTER_BUFFERS ->
+  // IORING_OP_READ_FIXED/WRITE_FIXED) and the extent fds as fixed files
+  // (IORING_REGISTER_FILES -> IOSQE_FIXED_FILE); a ring the kernel refuses
+  // (RLIMIT_MEMLOCK, old kernel) clears the want flag and keeps using plain
+  // SQEs.
+  bool want_buffers = true;
+  bool want_files = true;
   bool bufs_registered = false;
   uint64_t bufs_version = 0;  ///< registry regions_version last synced
   std::vector<RingRegistry::Region> buf_regions;  ///< index == buf_index
@@ -598,7 +603,6 @@ struct DirectVolume::IoRing {
   std::atomic<bool> broken{false};
   std::atomic<bool> down{false};
   std::atomic<bool> owner_detached{false};
-  bool want_buffers = false, want_files = false;
   bool bufs_registered = false, files_registered = false;
   static std::shared_ptr<IoRing> Create(uint32_t) {
     return nullptr;
@@ -947,11 +951,7 @@ DirectVolume::IoRing* DirectVolume::AcquireRing() {
         }
       }
       ring = IoRing::Create(std::max(1u, direct_options_.ring_depth));
-      if (ring != nullptr) {
-        ring->want_buffers = direct_options_.register_buffers;
-        ring->want_files = direct_options_.register_files;
-        registry_->rings.push_back(ring);
-      }
+      if (ring != nullptr) registry_->rings.push_back(ring);
     }
   }
   slots.push_back(Slot{serial_, ring});

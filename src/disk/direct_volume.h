@@ -84,16 +84,6 @@ struct DirectVolumeOptions {
   /// Submission-queue depth of each ring; batches larger than this are
   /// submitted in chunks.
   uint32_t ring_depth = 64;
-
-  /// Pre-register RegisterIoMemory regions as fixed buffers
-  /// (IORING_REGISTER_BUFFERS -> IORING_OP_READ_FIXED/WRITE_FIXED). Rings
-  /// that fail the registration (RLIMIT_MEMLOCK, old kernel) silently keep
-  /// using plain SQEs.
-  bool register_buffers = true;
-
-  /// Pre-register extent fds (IORING_REGISTER_FILES -> IOSQE_FIXED_FILE).
-  /// Same per-ring graceful fallback as register_buffers.
-  bool register_files = true;
 };
 
 /// An O_DIRECT file-per-extent volume with I/O accounting and persistence.

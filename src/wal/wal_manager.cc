@@ -1,8 +1,5 @@
 #include "wal/wal_manager.h"
 
-#include <chrono>
-#include <thread>
-
 namespace starfish {
 
 Result<std::unique_ptr<WalManager>> WalManager::Open(
@@ -100,7 +97,7 @@ Result<uint64_t> WalManager::AppendOp(WalRecordKind kind, uint8_t flags,
   // Bound memory between checkpoints: overflow goes to the file un-synced
   // (durable_lsn_ does not move; the next epoch's fsync covers it). Skipped
   // while a leader holds the file — appends must stay ordered.
-  if (pending_.size() >= options_.spill_bytes && !leader_active_) {
+  if (pending_.size() >= kWalSpillBytes && !leader_active_) {
     SpillLocked();
     if (!poison_.ok()) return poison_;
   }
@@ -114,7 +111,7 @@ Result<uint64_t> WalManager::AppendTxnMarker(WalRecordKind kind,
   if (!poison_.ok()) return poison_;
   const uint64_t lsn = next_lsn_++;
   AppendWalRecord(&pending_, kind, 0, lsn, payload);
-  if (pending_.size() >= options_.spill_bytes && !leader_active_) {
+  if (pending_.size() >= kWalSpillBytes && !leader_active_) {
     SpillLocked();
     if (!poison_.ok()) return poison_;
   }
@@ -136,16 +133,9 @@ Status WalManager::EnsureDurable(uint64_t lsn) {
     cv_.wait(lock);  // follower: the leader's epoch may cover us
   }
 
-  // This thread leads the epoch. Under kGroup it first leaves the mutex so
-  // concurrent committers can enqueue into the batch it is about to sync.
+  // This thread leads the epoch: writers arriving while it syncs queue
+  // behind it and join the next one.
   leader_active_ = true;
-  if (options_.sync == WalSyncPolicy::kGroup &&
-      options_.group_interval_us > 0) {
-    lock.unlock();
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(options_.group_interval_us));
-    lock.lock();
-  }
   std::string batch = std::move(pending_);
   pending_.clear();
   const uint64_t target = next_lsn_ - 1;

@@ -25,15 +25,16 @@
 ///   * Commit(lsn) runs OUTSIDE the store mutex: concurrent committers
 ///     overlap in EnsureDurable, where the first arrival becomes the epoch
 ///     leader, snapshots the pending buffer, appends + fsyncs it in one
-///     batch, and wakes every follower whose LSN the batch covered. Under
-///     `kGroup` the leader first waits `group_interval_us` so more
-///     committers can join the epoch — the Samsung-IO-stack observation
-///     that one fsync can carry many writers' durability work.
+///     batch, and wakes every follower whose LSN the batch covered. Writers
+///     that arrive while a leader syncs queue up for the next epoch, so one
+///     fsync carries many writers' durability work without any timed
+///     accumulation window (the Samsung-IO-stack observation).
 ///   * Sync policies: kAlways (every commit waits for durability, batched
-///     with its contemporaries), kGroup{interval_us} (same, after the
-///     accumulation window), kNone (commits return immediately; durability
-///     arrives at the next checkpoint — the pre-WAL contract, and the
-///     default).
+///     with its contemporaries) and kNone (commits return immediately;
+///     durability arrives at the next checkpoint — the pre-WAL contract,
+///     and the default). Under kNone the pending buffer is spilled
+///     un-synced to the file once it reaches kWalSpillBytes, bounding
+///     memory between checkpoints.
 ///
 /// Failure model (fsyncgate): a failed append, sync or truncation poisons
 /// the manager permanently. A poisoned log acknowledges nothing, the store
@@ -52,16 +53,14 @@ namespace starfish {
 enum class WalSyncPolicy {
   kNone,    ///< never at commit; the checkpoint syncs (default)
   kAlways,  ///< every commit fsyncs (leader-batched with concurrent ones)
-  kGroup,   ///< leader waits group_interval_us, then one fsync per epoch
 };
+
+/// Pending records are spilled (un-synced) to the file once the in-memory
+/// buffer reaches this many bytes, bounding memory between checkpoints.
+inline constexpr size_t kWalSpillBytes = size_t{1} << 20;
 
 struct WalManagerOptions {
   WalSyncPolicy sync = WalSyncPolicy::kNone;
-  /// Epoch accumulation window of the kGroup leader, microseconds.
-  uint32_t group_interval_us = 100;
-  /// Under kNone, pending records are spilled (un-synced) to the file once
-  /// the in-memory buffer exceeds this, bounding memory between checkpoints.
-  size_t spill_bytes = 1 << 20;
 };
 
 class WalManager final : public WalOrderingHook {
@@ -119,7 +118,7 @@ class WalManager final : public WalOrderingHook {
   Result<uint64_t> AppendTxnMarker(WalRecordKind kind, uint64_t txn_id);
 
   /// Commit acknowledgement per the sync policy: kNone returns immediately,
-  /// kAlways/kGroup block until `lsn` is durable.
+  /// kAlways blocks until `lsn` is durable.
   Status Commit(uint64_t lsn);
 
   /// WAL-before-data (WalOrderingHook): group-commit core. lsn 0 = no-op.

@@ -17,26 +17,29 @@ constexpr uint64_t kMissRange = 8;
 
 /// Zipf(theta) sampler over ranks 0..n-1 (rank 0 hottest) via an explicit
 /// cumulative table — exact, deterministic, and cheap at workload sizes
-/// (n is the live-object count). Rebuilt lazily when n changes.
+/// (n is the live-object count). Entry r depends on r alone, so the table
+/// only ever grows: a draw over n ranks reads its first n entries.
 class ZipfPicker {
  public:
   size_t Pick(size_t n, double theta, Rng* rng) {
     if (n == 0) return 0;
-    if (n != cumulative_.size() || theta != theta_) Rebuild(n, theta);
-    const double u = rng->NextDouble() * cumulative_.back();
-    const auto it =
-        std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-    return static_cast<size_t>(it - cumulative_.begin());
+    if (theta != theta_) {
+      theta_ = theta;
+      cumulative_.clear();
+    }
+    Grow(n);
+    const auto end = cumulative_.begin() + static_cast<ptrdiff_t>(n);
+    const double u = rng->NextDouble() * cumulative_[n - 1];
+    return static_cast<size_t>(std::lower_bound(cumulative_.begin(), end, u) -
+                               cumulative_.begin());
   }
 
  private:
-  void Rebuild(size_t n, double theta) {
-    theta_ = theta;
-    cumulative_.resize(n);
-    double sum = 0;
-    for (size_t r = 0; r < n; ++r) {
-      sum += 1.0 / std::pow(static_cast<double>(r + 1), theta);
-      cumulative_[r] = sum;
+  void Grow(size_t n) {
+    double sum = cumulative_.empty() ? 0 : cumulative_.back();
+    for (size_t r = cumulative_.size(); r < n; ++r) {
+      sum += 1.0 / std::pow(static_cast<double>(r + 1), theta_);
+      cumulative_.push_back(sum);
     }
   }
 
@@ -45,9 +48,9 @@ class ZipfPicker {
 };
 
 /// The generator's own model of which refs are live, with O(1)
-/// swap-with-last removal and transaction snapshots. Selection order is
-/// part of the deterministic contract: identical op sequences yield
-/// identical layouts.
+/// swap-with-last removal and an undo log for transaction rollback.
+/// Selection order is part of the deterministic contract: identical op
+/// sequences yield identical layouts.
 class LiveSet {
  public:
   void Insert(ObjectRef ref) {
@@ -64,6 +67,32 @@ class LiveSet {
       index_[list_[pos]] = pos;
     }
     list_.pop_back();
+    if (logging_) undo_.push_back({ref, pos});
+  }
+
+  /// Starts recording removes. Removes are the only mutation inside a
+  /// transaction group, so undoing them restores the exact list order.
+  void BeginUndo() {
+    undo_.clear();
+    logging_ = true;
+  }
+
+  /// Stops recording; on `rollback`, undoes the recorded removes newest
+  /// first, each moving its swapped-in ref back to the end.
+  void EndUndo(bool rollback) {
+    logging_ = false;
+    if (!rollback) return;
+    for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+      const auto [ref, pos] = *it;
+      if (pos < list_.size()) {
+        index_[list_[pos]] = list_.size();
+        list_.push_back(list_[pos]);
+        list_[pos] = ref;
+      } else {
+        list_.push_back(ref);
+      }
+      index_[ref] = pos;
+    }
   }
 
   bool Contains(ObjectRef ref) const { return index_.count(ref) > 0; }
@@ -78,12 +107,11 @@ class LiveSet {
     return out;
   }
 
-  LiveSet Snapshot() const { return *this; }
-  void Restore(LiveSet snapshot) { *this = std::move(snapshot); }
-
  private:
   std::vector<ObjectRef> list_;
   std::unordered_map<ObjectRef, size_t> index_;
+  bool logging_ = false;
+  std::vector<std::pair<ObjectRef, size_t>> undo_;  ///< removed ref, its slot
 };
 
 /// Skewed fan-out draw: geometric-ish in [1, fanout_max] — most objects
@@ -251,17 +279,14 @@ Result<Trace> GenerateTrace(const ScenarioParams& params) {
     live.Insert(i);
   }
 
-  // One write op on a live ref (Replace/UpdateRoot/Remove), targets
-  // restricted to `candidates`. Keeps the live model in sync.
-  const auto emit_mutation = [&](const std::vector<ObjectRef>& candidates,
-                                 bool allow_remove) {
-    const ObjectRef ref =
-        candidates[rng.Uniform(static_cast<uint64_t>(candidates.size()))];
+  // One write op (Replace/UpdateRoot/Remove) on the live ref `ref`. Keeps
+  // the live model in sync.
+  const auto emit_mutation = [&](ObjectRef ref) {
     const double r = rng.NextDouble();
     if (r < 0.5) {
       emit_ref_op(TraceOpKind::kReplace, ref,
                   SkewedFanout(&rng, params.fanout_max), rng.Next());
-    } else if (r < 0.8 || !allow_remove || live.size() <= remove_floor) {
+    } else if (r < 0.8 || live.size() <= remove_floor) {
       emit_ref_op(TraceOpKind::kUpdateRoot, ref, 0, rng.Next());
     } else {
       emit_ref_op(TraceOpKind::kRemove, ref, 0, 0);
@@ -339,16 +364,16 @@ Result<Trace> GenerateTrace(const ScenarioParams& params) {
       if (!candidates.empty()) {
         const bool rollback = rng.Bernoulli(params.rollback_fraction);
         const uint64_t group_ops = 1 + rng.Uniform(params.txn_ops_max);
-        LiveSet snapshot = live.Snapshot();
+        live.BeginUndo();
         emit(TraceOpKind::kBegin, 0, stream, 0, 0);
         for (uint64_t i = 0; i < group_ops; ++i) {
           candidates = live.InStream(stream);
           if (candidates.empty()) break;
-          emit_mutation(candidates, /*allow_remove=*/true);
+          emit_mutation(candidates[rng.Uniform(candidates.size())]);
         }
         emit(rollback ? TraceOpKind::kRollback : TraceOpKind::kCommit, 0,
              stream, 0, 0);
-        if (rollback) live.Restore(std::move(snapshot));
+        live.EndUndo(rollback);
         continue;
       }
       // No stream has a live ref (degenerate) — fall through to autonomous.
@@ -361,10 +386,7 @@ Result<Trace> GenerateTrace(const ScenarioParams& params) {
       live.Insert(ref);
       continue;
     }
-    std::vector<ObjectRef> all;
-    all.reserve(live.size());
-    for (size_t i = 0; i < live.size(); ++i) all.push_back(live.at(i));
-    emit_mutation(all, /*allow_remove=*/true);
+    emit_mutation(live.at(rng.Uniform(live.size())));
   }
 
   return trace;

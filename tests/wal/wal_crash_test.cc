@@ -21,9 +21,9 @@
 //     unacknowledged survives a torn_log_bytes = 0 power loss;
 //   * sf_fsck is spotless after recovery.
 //
-// Group-commit durability (kGroup: one leader fsync carries many writers'
-// acks) is proved by the no-fault test, which yanks the power after the
-// last ack and expects every object back.
+// Group-commit durability (kAlways: one leader fsync carries every writer
+// that queued behind it) is proved by the no-fault test, which yanks the
+// power after the last ack and expects every object back.
 
 #include <gtest/gtest.h>
 
@@ -348,13 +348,14 @@ TEST_P(WalCrashTest, PowerLossInsideTheCheckpointKeepsEveryAckedPut) {
   VerifyRecovered(outcome, /*exact=*/true, "checkpoint sync fault");
 }
 
-// The group-commit durability proof: concurrent writers under kGroup, one
+// The group-commit durability proof: concurrent writers under kAlways, one
 // leader fsync acknowledging whole epochs; power yanked right after the
-// last ack. Every acked put must be in the recovered store.
-TEST_P(WalCrashTest, GroupCommitAcksSurvivePowerLoss) {
+// last ack, with no fault armed. Every acked put must be in the recovered
+// store.
+TEST_P(WalCrashTest, ConcurrentCommitAcksSurvivePowerLoss) {
   FaultHandle handle;
   auto store_or = ComplexObjectStore::Open(
-      db_->schema(), CrashOptions(&handle, WalSyncPolicy::kGroup));
+      db_->schema(), CrashOptions(&handle, WalSyncPolicy::kAlways));
   ASSERT_TRUE(store_or.ok());
   CrashOutcome outcome;
   {

@@ -246,5 +246,83 @@ TEST(ScenarioTraceTest, WorkloadObjectsAreSchemaValidAndKeyed) {
             MakeWorkloadObject(*schema, 3, 1235, 5, 64, 16));
 }
 
+/// FNV-1a 64 of the wire bytes: a stable fingerprint of a whole trace.
+uint64_t TraceHash(const Trace& trace) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : EncodeTrace(trace)) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Golden fingerprints of the generator's output. The repository benchmark's
+// count metrics (fixes_per_op, space_amp) are functions of these traces, so
+// any generator change must keep every byte: the three perfbench workloads
+// (perfbench/workloads.json generator params, seeds 1-3) and the seven
+// scenario families at two trace lengths.
+TEST(ScenarioTraceTest, GeneratorOutputMatchesGoldenHashes) {
+  struct Workload {
+    const char* name;
+    uint32_t n_objects, n_ops;
+    double zipf_theta, write_fraction;
+    uint32_t burst_len;
+    double txn_fraction;
+    uint64_t golden[3];  // seeds 1, 2, 3
+  };
+  const Workload workloads[] = {
+      {"hot_read", 2000, 250000, 1.0, 0.08, 0, 0.2,
+       {0x6514e23520f4b064ull, 0xbf0cb3f6fdb31244ull, 0x63c29aa205539d84ull}},
+      {"cold_direct", 1000, 150000, 0.6, 0.08, 0, 0.2,
+       {0xf28f179a0ba28680ull, 0xd66436e1cbeeef6cull, 0x70ee435e376bfd36ull}},
+      {"durable_write", 2000, 500000, 0.8, 0.5, 1000, 0.25,
+       {0xc9f5911e6dedddb1ull, 0x1b17db47bd4900ecull, 0xa8c44ce84aa88242ull}},
+  };
+  for (const Workload& w : workloads) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      ScenarioParams params;
+      params.seed = seed;
+      params.n_objects = w.n_objects;
+      params.n_ops = w.n_ops;
+      params.max_growth = 1000000;
+      params.zipf_theta = w.zipf_theta;
+      params.drift_every = 0;
+      params.write_fraction = params.write_fraction_end = w.write_fraction;
+      params.burst_len = w.burst_len;
+      params.txn_fraction = w.txn_fraction;
+      auto trace = GenerateTrace(params);
+      ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+      EXPECT_EQ(TraceHash(trace.value()), w.golden[seed - 1])
+          << std::hex << w.name << " seed " << seed << ": 0x"
+          << TraceHash(trace.value());
+    }
+  }
+
+  const uint64_t golden_families[2][7] = {
+      // read_mostly, write_heavy, hot_drift, bursty, txn_mix, scan_heavy,
+      // cooling
+      {0x55eb7f513663d2c3ull, 0x9673a81fedca5169ull, 0xdff1b30614c03b23ull,
+       0x87da302fc6769ef2ull, 0xcff792d8e9de5084ull, 0xd7bc49bfdc3f28adull,
+       0x89ba92521fab7750ull},  // 400 ops
+      {0xaecc8752d7fbe55bull, 0x22f281eadfb6e58cull, 0xd6877e33263bc120ull,
+       0x890f646d5ec103fdull, 0x2ae1f26acb290067ull, 0x48984adb0ef83b11ull,
+       0xd6171c83764ac1d4ull},  // 5000 ops
+  };
+  const uint32_t lengths[2] = {400, 5000};
+  for (size_t l = 0; l < 2; ++l) {
+    const auto families = ScenarioFamilies(1);
+    ASSERT_EQ(families.size(), 7u);
+    for (size_t f = 0; f < families.size(); ++f) {
+      ScenarioParams params = families[f].params;
+      params.n_ops = lengths[l];
+      auto trace = GenerateTrace(params);
+      ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+      EXPECT_EQ(TraceHash(trace.value()), golden_families[l][f])
+          << std::hex << families[f].name << " " << std::dec << lengths[l]
+          << " ops: 0x" << std::hex << TraceHash(trace.value());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace starfish::workload
