@@ -21,9 +21,9 @@
 //                                  free.
 //
 // --backend direct replaces the page-cache rows with device rows: 1/2/4/8
-// threads each keep a pipeline of chained 8-page reads in flight through
-// SubmitReadChained/CompleteRead over their own io_uring rings. The
-// aggregate pages/sec as threads grow is the per-thread-ring scaling.
+// threads each issue blocking chained 8-page ReadChained calls over their
+// own io_uring rings. The aggregate pages/sec as threads grow is the
+// per-thread-ring scaling.
 // Skip-tolerant: on a filesystem without O_DIRECT the binary records
 // "direct_skipped": true and exits 0.
 //
@@ -330,12 +330,11 @@ BenchResult BenchStoreGet(uint32_t threads,
   return r;
 }
 
-// Direct-backend ring rows: raw device read throughput through the async
-// submit/complete split, no buffer pool in the way. Each thread pipelines
-// kInFlight chained 8-page batches (the DASDBS fetch shape) over its ring.
+// Direct-backend ring rows: raw device read throughput, no buffer pool in
+// the way. Each thread issues blocking chained 8-page reads (the DASDBS
+// fetch shape) over its own ring.
 BenchResult BenchDirectChained(uint32_t threads, const std::string& dir) {
   constexpr uint32_t kObjPages = 8;
-  constexpr uint32_t kInFlight = 4;
   constexpr uint32_t kBatchesPerThread = 512;  // 16 MiB read per thread
 
   auto disk_or = DirectVolume::Open(dir, DiskOptions{4096, 4u << 20});
@@ -347,38 +346,25 @@ BenchResult BenchDirectChained(uint32_t threads, const std::string& dir) {
   const double seconds = TimedThreads(threads, [&](uint32_t t) {
     AlignedBuffer staging;
     if (!staging.Reserve(
-            static_cast<size_t>(kInFlight) * kObjPages * page,
+            static_cast<size_t>(kObjPages) * page,
             std::max<size_t>(4096, disk->io_buffer_alignment()))) {
       Fatal("staging", Status::ResourceExhausted("staging alloc"));
     }
     disk->RegisterIoMemory(staging.data(),
-                           static_cast<size_t>(kInFlight) * kObjPages * page);
+                           static_cast<size_t>(kObjPages) * page);
     Rng rng(0xD10C0DE + t * 0x9E3779B9ull);
     std::vector<PageId> ids(kObjPages);
     std::vector<char*> outs(kObjPages);
-    uint64_t tickets[kInFlight] = {};
-    bool live[kInFlight] = {};
-    for (uint32_t b = 0; b < kBatchesPerThread + kInFlight; ++b) {
-      const uint32_t slot = b % kInFlight;
-      if (live[slot]) {
-        if (auto st = disk->CompleteRead(tickets[slot]); !st.ok()) {
-          Fatal("complete", st);
-        }
-        live[slot] = false;
-      }
-      if (b >= kBatchesPerThread) continue;  // drain phase
+    for (uint32_t p = 0; p < kObjPages; ++p) {
+      outs[p] = staging.data() + static_cast<size_t>(p) * page;
+    }
+    for (uint32_t b = 0; b < kBatchesPerThread; ++b) {
       const PageId root =
           static_cast<PageId>(rng.Uniform(n_objects) * kObjPages);
-      char* base =
-          staging.data() + static_cast<size_t>(slot) * kObjPages * page;
-      for (uint32_t p = 0; p < kObjPages; ++p) {
-        ids[p] = root + p;
-        outs[p] = base + static_cast<size_t>(p) * page;
+      for (uint32_t p = 0; p < kObjPages; ++p) ids[p] = root + p;
+      if (auto st = disk->ReadChained(ids, outs); !st.ok()) {
+        Fatal("read", st);
       }
-      auto ticket_or = disk->SubmitReadChained(ids, outs);
-      if (!ticket_or.ok()) Fatal("submit", ticket_or.status());
-      tickets[slot] = ticket_or.value();
-      live[slot] = true;
     }
     disk->UnregisterIoMemory(staging.data());
   });
@@ -476,7 +462,7 @@ int main(int argc, char** argv) {
               std::thread::hardware_concurrency(), kShards);
 
   if (g_backend == VolumeKind::kDirect) {
-    // Device rows only: per-thread rings, raw SubmitReadChained pipelines,
+    // Device rows only: per-thread rings, raw blocking ReadChained calls,
     // no buffer pool. The page-cache rows of the other backends would just
     // measure memcpy.
     const std::string dir =

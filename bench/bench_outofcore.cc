@@ -36,7 +36,7 @@
 //
 //   --threads K     per-thread-scaling section over the direct backend:
 //                   1/2/4/8 concurrent submitters (capped at K), each
-//                   running its own completion-driven PrefetchStream over
+//                   prefetching objects as blocking chained reads into
 //                   ONE shared sharded buffer pool through its own
 //                   io_uring ring — the JSON rows show how the device
 //                   path scales at equal work.
@@ -359,8 +359,8 @@ std::vector<std::string> Ranking(const std::vector<MixResult>& results,
 }
 
 // ---------------------------------------------------------------------------
-// Per-thread-scaling section (--threads): N submitters, each driving its own
-// completion-driven PrefetchStream over one shared sharded pool, on the
+// Per-thread-scaling section (--threads): N submitters, each prefetching
+// objects with BufferManager::Prefetch into one shared sharded pool, on the
 // direct backend's per-thread rings.
 // ---------------------------------------------------------------------------
 
@@ -370,7 +370,6 @@ struct ScalingRow {
   double pages_per_sec = 0;
   uint64_t read_calls = 0;
   uint64_t pages_read = 0;
-  bool async_active = false;  ///< any stream ran the submit/complete split
 };
 
 /// Runs `body(thread_index)` on `threads` threads behind a start barrier;
@@ -442,24 +441,20 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
       if (t > std::max(config.threads, 1u)) break;
       if (auto st = bm.DropAll(); !st.ok()) Fatal("scaling drop", st);
       disk->ResetStats();
-      std::atomic<uint32_t> async_streams{0};
 
       // Fixed total work split across the submitters: each thread fetches
       // its interleaved share of a deterministic pseudo-random object
       // sequence as DASDBS-like 8-page chained batches.
       const double seconds = TimedThreads(t, [&](uint32_t thread_index) {
-        PrefetchStream stream(&bm, /*depth=*/4);
-        if (stream.async_active()) {
-          async_streams.fetch_add(1, std::memory_order_relaxed);
-        }
         std::vector<PageId> ids(kPagesPerObject);
         for (uint64_t i = thread_index; i < n_fetch; i += t) {
           const PageId root = static_cast<PageId>(
               (i * 2654435761ull % n_objects) * kPagesPerObject);
           for (uint32_t p = 0; p < kPagesPerObject; ++p) ids[p] = root + p;
-          if (auto st = stream.Push(ids); !st.ok()) Fatal("push", st);
+          if (auto st = bm.Prefetch(ids, PrefetchMode::kChained); !st.ok()) {
+            Fatal("prefetch", st);
+          }
         }
-        if (auto st = stream.Drain(); !st.ok()) Fatal("drain", st);
       });
 
       const IoStats io = disk->stats();
@@ -469,7 +464,6 @@ std::vector<ScalingRow> RunThreadScaling(const Config& config,
       row.pages_per_sec = static_cast<double>(io.pages_read) / seconds;
       row.read_calls = io.read_calls;
       row.pages_read = io.pages_read;
-      row.async_active = async_streams.load() > 0;
       rows.push_back(row);
     }
   }
@@ -742,9 +736,8 @@ int Run(const Config& config) {
   bool scaling_skipped = false;
   std::string scaling_skip_reason;
   if (config.threads > 0) {
-    std::printf("\nper-thread scaling (direct backend, %u-deep "
-                "PrefetchStream per submitter)\n",
-                4u);
+    std::printf("\nper-thread scaling (direct backend, blocking chained "
+                "prefetch per submitter)\n");
     scaling = RunThreadScaling(config, n_pages, frames, &scaling_skipped,
                                &scaling_skip_reason);
     if (scaling_skipped) {
@@ -753,12 +746,11 @@ int Run(const Config& config) {
       direct_skipped = true;
       if (direct_skip_reason.empty()) direct_skip_reason = scaling_skip_reason;
     } else {
-      std::printf("%8s %12s %14s %10s %6s\n", "threads", "measured ms",
-                  "pages/sec", "pages", "async");
+      std::printf("%8s %12s %14s %10s\n", "threads", "measured ms",
+                  "pages/sec", "pages");
       for (const ScalingRow& row : scaling) {
-        std::printf("%8u %12.2f %14.0f %10" PRIu64 " %6s\n", row.threads,
-                    row.measured_ms, row.pages_per_sec, row.pages_read,
-                    row.async_active ? "yes" : "no");
+        std::printf("%8u %12.2f %14.0f %10" PRIu64 "\n", row.threads,
+                    row.measured_ms, row.pages_per_sec, row.pages_read);
       }
     }
   }
@@ -844,10 +836,9 @@ int Run(const Config& config) {
                     "    {\"ring_mode\": \"per_thread\", \"threads\": %u, "
                     "\"measured_ms\": %.3f, \"pages_per_sec\": %.0f, "
                     "\"read_calls\": %" PRIu64 ", \"pages_read\": %" PRIu64
-                    ", \"async_prefetch\": %s}%s\n",
+                    "}%s\n",
                     row.threads, row.measured_ms,
                     row.pages_per_sec, row.read_calls, row.pages_read,
-                    row.async_active ? "true" : "false",
                     i + 1 < scaling.size() ? "," : "");
       json += buf;
     }

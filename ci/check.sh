@@ -154,7 +154,7 @@ fi
 echo "== out-of-core bench (tiny smoke, ranking-gated) =="
 # Modelled-vs-measured ms per access mix over mmap + direct (emits
 # BENCH_outofcore.json), plus per-thread-ring scaling rows at 1/2/4
-# submitters (a completion-driven PrefetchStream per thread) and the
+# submitters (blocking chained BufferManager::Prefetch per thread) and the
 # five-model out-of-core reproduction (Table 4/5/6 fetch-shape rankings must match
 # the in-memory expectation). --gate-ranking FAILS the build when the
 # direct backend's measured ranking diverges from the Eq.-1 model or the
@@ -255,7 +255,7 @@ echo "== mt-read bench (mmap backend) =="
 (cd "$BUILD_DIR" && ./bench_mt_read --backend mmap)
 
 echo "== mt-read bench (direct backend: per-thread rings) =="
-# Raw device read throughput through SubmitReadChained pipelines over
+# Raw device read throughput through blocking chained ReadChained calls over
 # per-thread io_uring rings at 1/2/4/8 threads (emits
 # BENCH_mt_read_direct.json; skip-tolerant without O_DIRECT). Archived
 # ungated in CI — the committed reference rows document the scaling on the
@@ -314,5 +314,10 @@ else
   echo "== ASan+UBSan suite =="
   "$BUILD_DIR-asan/starfish_tests"
 fi
+
+echo "== size report =="
+# Tracked line counts and the StoreOptions field count; CHANGES.md quotes
+# these figures.
+"$REPO_ROOT/ci/size_report.sh"
 
 echo "== OK =="

@@ -11,8 +11,9 @@ namespace starfish {
 
 namespace {
 
-/// Prefetch staging (non-zero-copy backends) is aligned generously so a
-/// direct backend can DMA into it without bouncing a second time.
+/// Prefetch's per-thread staging area (backends without zero-copy views)
+/// is aligned generously so a direct backend can DMA into it without
+/// bouncing a second time.
 constexpr size_t kStagingAlign = 4096;
 
 }  // namespace
@@ -309,6 +310,26 @@ Status BufferManager::Prefetch(const std::vector<PageId>& ids,
     return Status::ResourceExhausted("cannot allocate prefetch staging");
   }
 
+  // Installs `count` pages whose bytes the last read call left in `views`
+  // (zero-copy) or at the head of `staging`. Single-threaded, evictions
+  // triggered by earlier Load()s only write back resident pages, which are
+  // disjoint from `missing` by construction; concurrently, another thread
+  // may have loaded a page since the residency scan. Either way: only load
+  // when still absent.
+  auto install = [&](const PageId* page_ids, size_t count) -> Status {
+    for (size_t i = 0; i < count; ++i) {
+      const char* src =
+          zero_copy ? views[i] : staging.data() + i * size_t{page_size_};
+      Shard& shard = ShardOf(page_ids[i]);
+      ShardLock lock = Lock(shard);
+      if (FindSlot(shard, page_ids[i]) == kNotFound) {
+        STARFISH_RETURN_NOT_OK(Load(shard, page_ids[i], src).status());
+      }
+      ++shard.stats.prefetched_pages;
+    }
+    return Status::OK();
+  };
+
   if (mode == PrefetchMode::kChained) {
     if (zero_copy) {
       STARFISH_RETURN_NOT_OK(disk_->ReadChainedZeroCopy(missing, &views));
@@ -319,21 +340,7 @@ Status BufferManager::Prefetch(const std::vector<PageId>& ids,
       }
       STARFISH_RETURN_NOT_OK(disk_->ReadChained(missing, staging_ptrs));
     }
-    for (size_t i = 0; i < missing.size(); ++i) {
-      const char* src =
-          zero_copy ? views[i] : staging.data() + i * page_size_;
-      Shard& shard = ShardOf(missing[i]);
-      ShardLock lock = Lock(shard);
-      // Single-threaded, evictions triggered by earlier Load()s only write
-      // back resident pages, which are disjoint from `missing` by
-      // construction; concurrently, another thread may have loaded the page
-      // since the residency scan. Either way: only load when still absent.
-      if (FindSlot(shard, missing[i]) == kNotFound) {
-        STARFISH_RETURN_NOT_OK(Load(shard, missing[i], src).status());
-      }
-      ++shard.stats.prefetched_pages;
-    }
-    return Status::OK();
+    return install(missing.data(), missing.size());
   }
 
   // kContiguousRuns: group maximal runs of consecutive page ids.
@@ -352,17 +359,7 @@ Status BufferManager::Prefetch(const std::vector<PageId>& ids,
       STARFISH_RETURN_NOT_OK(
           disk_->ReadRun(missing[start], count, staging.data()));
     }
-    for (uint32_t i = 0; i < count; ++i) {
-      const char* src =
-          zero_copy ? views[i] : staging.data() + i * static_cast<size_t>(page_size_);
-      const PageId id = missing[start + i];
-      Shard& shard = ShardOf(id);
-      ShardLock lock = Lock(shard);
-      if (FindSlot(shard, id) == kNotFound) {
-        STARFISH_RETURN_NOT_OK(Load(shard, id, src).status());
-      }
-      ++shard.stats.prefetched_pages;
-    }
+    STARFISH_RETURN_NOT_OK(install(&missing[start], count));
     start = end;
   }
   return Status::OK();
@@ -702,124 +699,6 @@ void BufferManager::RemoveFromOrder(Shard& shard, uint32_t frame_idx) {
   frame.prev = kNullFrame;
   frame.next = kNullFrame;
   frame.in_order = false;
-}
-
-// ------------------------------------------------------- PrefetchStream --
-
-PrefetchStream::PrefetchStream(BufferManager* buffer, uint32_t depth)
-    : buffer_(buffer),
-      disk_(buffer->disk_),
-      async_(buffer->disk_->supports_async_read()) {
-  slots_.resize(depth == 0 ? 1 : depth);
-}
-
-PrefetchStream::~PrefetchStream() {
-  (void)Drain();
-  for (Slot& slot : slots_) {
-    if (slot.registered_base != nullptr) {
-      disk_->UnregisterIoMemory(slot.registered_base);
-    }
-  }
-}
-
-Status PrefetchStream::Push(const std::vector<PageId>& ids) {
-  // Distinct pages neither resident nor already on the wire from this
-  // stream. A page in an earlier in-flight batch will be installed when
-  // that batch completes; re-reading it would only duplicate device work
-  // (Load's re-check under the shard lock keeps duplicates correct, so
-  // this filter is an economy, not a safety requirement).
-  std::vector<PageId>& missing = scratch_missing_;
-  missing.clear();
-  for (PageId id : ids) {
-    if (std::find(missing.begin(), missing.end(), id) != missing.end()) {
-      continue;
-    }
-    if (buffer_->IsCached(id)) continue;
-    bool on_the_wire = false;
-    for (const Slot& s : slots_) {
-      if (s.in_flight &&
-          std::find(s.ids.begin(), s.ids.end(), id) != s.ids.end()) {
-        on_the_wire = true;
-        break;
-      }
-    }
-    if (!on_the_wire) missing.push_back(id);
-  }
-  if (missing.empty()) return Status::OK();
-
-  if (!async_) {
-    // No async contract: one blocking chained prefetch, identical call
-    // accounting, no pipeline.
-    return buffer_->Prefetch(missing, PrefetchMode::kChained);
-  }
-
-  Slot& slot = slots_[next_];
-  if (slot.in_flight) {
-    // Pipeline full. The cursor slot holds the oldest batch — the one the
-    // device has had the longest to finish — so reaping it here usually
-    // costs an install, not a wait.
-    STARFISH_RETURN_NOT_OK(Complete(slot));
-  }
-
-  const size_t page_size = buffer_->page_size_;
-  const size_t align =
-      std::max<size_t>(kStagingAlign, disk_->io_buffer_alignment());
-  const char* old_base = slot.staging.data();
-  if (!slot.staging.Reserve(missing.size() * page_size, align)) {
-    return Status::ResourceExhausted("cannot allocate prefetch staging");
-  }
-  if (slot.staging.data() != old_base || slot.registered_base == nullptr) {
-    // New or regrown staging allocation: (re-)register it so the volume can
-    // pin it as a fixed I/O buffer. Rings resync registrations lazily when
-    // idle, so this is cheap even mid-stream.
-    if (slot.registered_base != nullptr) {
-      disk_->UnregisterIoMemory(slot.registered_base);
-    }
-    disk_->RegisterIoMemory(slot.staging.data(), slot.staging.capacity());
-    slot.registered_base = slot.staging.data();
-  }
-
-  slot.ids = missing;
-  slot.ptrs.clear();
-  for (size_t i = 0; i < slot.ids.size(); ++i) {
-    slot.ptrs.push_back(slot.staging.data() + i * page_size);
-  }
-  STARFISH_ASSIGN_OR_RETURN(slot.ticket,
-                            disk_->SubmitReadChained(slot.ids, slot.ptrs));
-  slot.in_flight = true;
-  ++async_batches_;
-  next_ = (next_ + 1) % slots_.size();
-  return Status::OK();
-}
-
-Status PrefetchStream::Complete(Slot& slot) {
-  slot.in_flight = false;
-  STARFISH_RETURN_NOT_OK(disk_->CompleteRead(slot.ticket));
-  const size_t page_size = buffer_->page_size_;
-  for (size_t i = 0; i < slot.ids.size(); ++i) {
-    const PageId id = slot.ids[i];
-    const char* src = slot.staging.data() + i * page_size;
-    BufferManager::Shard& shard = buffer_->ShardOf(id);
-    BufferManager::ShardLock lock = buffer_->Lock(shard);
-    // Another thread may have loaded the page while the batch was in
-    // flight; only install when still absent (same rule as Prefetch).
-    if (buffer_->FindSlot(shard, id) == BufferManager::kNotFound) {
-      STARFISH_RETURN_NOT_OK(buffer_->Load(shard, id, src).status());
-    }
-    ++shard.stats.prefetched_pages;
-  }
-  return Status::OK();
-}
-
-Status PrefetchStream::Drain() {
-  Status first = Status::OK();
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    Slot& slot = slots_[(next_ + i) % slots_.size()];
-    if (!slot.in_flight) continue;
-    Status st = Complete(slot);
-    if (first.ok() && !st.ok()) first = std::move(st);
-  }
-  return first;
 }
 
 }  // namespace starfish

@@ -13,7 +13,6 @@
 
 #include "disk/page.h"
 #include "disk/volume.h"
-#include "util/aligned_buffer.h"
 #include "util/status.h"
 
 /// \file buffer_manager.h
@@ -514,10 +513,6 @@ class BufferManager {
   // while the guard lives.
   friend class PageGuard;
 
-  // PrefetchStream installs completed async batches through Load() under
-  // the shard locks, exactly like Prefetch does inline.
-  friend class PrefetchStream;
-
   /// Loads `id` into a frame of `shard` (evicting if needed) without
   /// counting a fix. `already_read` supplies page bytes read by a chained
   /// call (a zero-copy view into the volume's extents), nullptr to read
@@ -598,86 +593,6 @@ class BufferManager {
   /// all writer threads; WalManager::NeedsPreimage is internally locked.
   std::function<bool(PageId)> preimage_query_;
   WalOrderingHook* wal_hook_ = nullptr;
-};
-
-/// Completion-driven prefetch: a per-thread pipeline keeping up to `depth`
-/// chained read batches in flight on an async-capable volume.
-///
-/// Push() submits one batch (an object's missing pages) through
-/// Volume::SubmitReadChained and returns without waiting for the device;
-/// when all `depth` pipeline slots are occupied, the oldest batch is
-/// completed — its pages installed into the pool — before the new one is
-/// submitted. The device therefore works on up to `depth` chained reads
-/// from this thread while the thread assembles previously fetched objects:
-/// the paper's chained-I/O fetch shapes, overlapped instead of serialized.
-///
-/// Volumes without an async path (supports_async_read() == false: mem,
-/// mmap, the decorators) degrade to one blocking BufferManager::Prefetch
-/// per Push — same I/O-call accounting, no pipeline. Accounting on the
-/// async path is identical too: SubmitReadChained meters one read call and
-/// N page reads at submit, exactly what the ReadChained of a blocking
-/// prefetch would have charged.
-///
-/// Threading: a PrefetchStream is strictly per-thread (io_uring completion
-/// tickets are thread-local — submit and complete must happen on the same
-/// thread), but many threads may each run their own stream over one shared
-/// sharded BufferManager. Destruction drains in-flight batches.
-class PrefetchStream {
- public:
-  /// Binds to `buffer` with `depth` pipeline slots (minimum 1). Each slot's
-  /// staging buffer is registered with the volume as fixed-I/O memory, so a
-  /// direct backend with registered-buffer support DMAs into it without a
-  /// per-I/O pin.
-  explicit PrefetchStream(BufferManager* buffer, uint32_t depth = 4);
-  ~PrefetchStream();
-  PrefetchStream(const PrefetchStream&) = delete;
-  PrefetchStream& operator=(const PrefetchStream&) = delete;
-
-  /// Ensures every listed page will be resident once its batch completes:
-  /// filters out pages already cached or already in flight on this stream,
-  /// submits the rest as one chained read, and pipelines the completion.
-  /// Completed batches install their pages lazily — at the latest by the
-  /// Drain() or Push() that recycles their slot — so call Drain() before
-  /// fixing pages that must not be re-read from the device.
-  Status Push(const std::vector<PageId>& ids);
-
-  /// Completes every in-flight batch and installs its pages. All slots are
-  /// reaped regardless of errors; the first error wins.
-  Status Drain();
-
-  /// True when the volume accepted the async contract (the stream actually
-  /// pipelines; false = blocking-Prefetch degradation).
-  bool async_active() const { return async_; }
-
-  /// Pipeline slots.
-  uint32_t depth() const { return static_cast<uint32_t>(slots_.size()); }
-
-  /// Batches submitted asynchronously so far (in flight + completed).
-  uint64_t async_batches() const { return async_batches_; }
-
- private:
-  struct Slot {
-    AlignedBuffer staging;
-    /// Staging base currently registered with the volume (null = none);
-    /// re-registered when Reserve() moves the allocation.
-    char* registered_base = nullptr;
-    std::vector<PageId> ids;
-    std::vector<char*> ptrs;
-    uint64_t ticket = 0;
-    bool in_flight = false;
-  };
-
-  /// Reaps `slot`: CompleteRead, then install the pages into the pool.
-  /// Clears in_flight even on error.
-  Status Complete(Slot& slot);
-
-  BufferManager* buffer_;
-  Volume* disk_;
-  bool async_;
-  uint64_t async_batches_ = 0;
-  std::vector<Slot> slots_;
-  size_t next_ = 0;  ///< ring cursor: next slot to submit into
-  std::vector<PageId> scratch_missing_;  ///< reused Push working set
 };
 
 // The guard teardown trio is defined inline (PageGuard is a friend, so the

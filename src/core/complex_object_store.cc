@@ -236,8 +236,8 @@ Result<std::unique_ptr<ComplexObjectStore>> ComplexObjectStore::Open(
       store->AttachWalAndRecover(reopen, header.wal_checkpoint_lsn));
 
   // The object cache attaches LAST, and always empty: whatever route the
-  // open took (fresh, clean reopen, WAL replay, fallback scrub,
-  // paranoid_open), no pre-crash assembly exists to be served. Plain NSM
+  // open took (fresh, clean reopen, WAL replay, fallback scrub), no
+  // pre-crash assembly exists to be served. Plain NSM
   // has no by-ref access to accelerate, so the tier stays off there (the
   // paper's "query 1a is not relevant" model).
   if (store->options_.objcache.enabled && store->model_->SupportsGetByRef()) {
@@ -268,9 +268,7 @@ Status ComplexObjectStore::AttachWalAndRecover(bool reopen,
   // log alone, and re-running them onto the empty initial state is what
   // makes that acknowledgement honest.
   std::string no_replay_reason;
-  if (options_.paranoid_open) {
-    no_replay_reason = "paranoid_open";
-  } else if (fallback_) {
+  if (fallback_) {
     // The newest catalog was corrupt; the log was truncated against it,
     // not against the older generation that loaded. Its records do not
     // extend the state we actually have.
@@ -286,7 +284,8 @@ Status ComplexObjectStore::AttachWalAndRecover(bool reopen,
   if (reopen && !no_replay_reason.empty()) {
     // Restore exactly the committed state: delete every slotted record the
     // committed model state does not know and rebuild the hints. The log
-    // tail (if any survived) is DISCARDED — documented for paranoid_open.
+    // tail (if any survived) is DISCARDED. An operator who does not trust
+    // the log takes this path by moving wal.log aside before the open.
     std::vector<Tid> live_tids;
     STARFISH_RETURN_NOT_OK(model_->CollectLiveTids(&live_tids));
     STARFISH_RETURN_NOT_OK(engine_->ScrubSlottedRecords(live_tids));

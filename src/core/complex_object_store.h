@@ -120,12 +120,6 @@ struct StoreOptions {
   /// across concurrent writers (group commit). See docs/WAL.md.
   WalSyncPolicy wal_sync = WalSyncPolicy::kNone;
 
-  /// Reopen via the full committed-state scrub instead of WAL replay, and
-  /// DISCARD the log tail beyond the committed checkpoint — acked-but-
-  /// uncheckpointed commits are dropped. The recovery of last resort for a
-  /// log the operator does not trust.
-  bool paranoid_open = false;
-
   /// Test seam: wraps the WAL's log file (e.g. FaultVolume::WrapLogFile)
   /// so crash tests can tear log appends and drop unsynced log bytes at
   /// power loss. Null = no wrapping.

@@ -26,7 +26,6 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "util/aligned_buffer.h"
 #include "util/file_io.h"
@@ -173,15 +172,14 @@ struct DirectVolume::RingRegistry {
 };
 
 /// Minimal raw-syscall io_uring wrapper (no liburing dependency): one
-/// submission/completion ring pair with ticketed completions. A ring is
-/// owned by exactly one submitting thread, so no lock guards it anywhere.
-/// SubmitTicket pushes a batch of read or write SQEs and returns a ticket;
-/// WaitTicket blocks until that ticket's completions have all landed,
-/// finishing any short transfer synchronously — the synchronous Execute
-/// path is simply submit-then-wait, and the async prefetch path holds
-/// several tickets in flight. Null from Create means the kernel refused
-/// (ENOSYS, seccomp EPERM, sysctl-disabled) and the volume runs on
-/// pread/pwrite instead.
+/// submission/completion ring pair. A ring is owned by exactly one
+/// submitting thread, so no lock guards it anywhere. Run pushes one batch
+/// of read or write SQEs and blocks until all of its completions have
+/// landed, finishing any short transfer synchronously — every Volume call
+/// submits and waits for its batch inside the call, so a ring tracks at
+/// most one batch. Null from Create means the kernel refused (ENOSYS,
+/// seccomp EPERM, sysctl-disabled) and the volume runs on pread/pwrite
+/// instead.
 struct DirectVolume::IoRing {
 #if STARFISH_HAVE_IO_URING
   int ring_fd = -1;
@@ -216,7 +214,7 @@ struct DirectVolume::IoRing {
 
   /// Release-published by the owning thread's Slot destructor at thread
   /// exit. The reaper's acquire load of it is the happens-before edge that
-  /// orders every plain-field use the owner made (SubmitTicket reads
+  /// orders every plain-field use the owner made (Run reads
   /// ring_fd etc. without locks) before the registry's Shutdown() — a bare
   /// use_count()==1 observation carries no such edge.
   std::atomic<bool> owner_detached{false};
@@ -235,18 +233,16 @@ struct DirectVolume::IoRing {
   bool files_registered = false;
   uint32_t files_count = 0;  ///< registered fd table size (== extent count)
 
-  /// One submitted batch awaiting completion.
-  struct Pending {
-    std::vector<IoOp> owned;    ///< async tickets own their ops
-    const IoOp* ops = nullptr;  ///< sync tickets alias the caller's vector
+  /// The batch Run is working on. Its ops alias the caller's vector, and
+  /// each SQE's user_data is its op index.
+  struct Batch {
+    const IoOp* ops = nullptr;
     size_t count = 0;
-    unsigned remaining = 0;
     bool write = false;
-    Status error;
+    Status error;  ///< first per-op failure
   };
-  std::unordered_map<uint32_t, Pending> pending;
-  uint32_t next_ticket = 1;  ///< 0 is the "already completed" sentinel
-  unsigned in_flight = 0;    ///< SQEs accepted by the kernel, CQE unreaped
+  Batch batch;
+  unsigned in_flight = 0;  ///< SQEs accepted by the kernel, CQE unreaped
 
   ~IoRing() { Shutdown(); }
 
@@ -334,7 +330,7 @@ struct DirectVolume::IoRing {
   /// refusal permanently downgrades that feature on this ring (plain SQEs
   /// keep working).
   void MaybeSyncRegistrations(DirectVolume* vol) {
-    if (!pending.empty() || in_flight != 0) return;
+    if (in_flight != 0) return;
     if (want_files) {
       const uint32_t ext =
           vol->published_extents_.load(std::memory_order_acquire);
@@ -427,27 +423,24 @@ struct DirectVolume::IoRing {
     sqe->user_data = user_data;
   }
 
-  /// Attributes one CQE back to its pending ticket, finishing short
+  /// Attributes one CQE back to its op of the batch, finishing short
   /// transfers synchronously.
   void HandleCqe(const struct io_uring_cqe& cqe) {
     if (in_flight > 0) --in_flight;
-    const uint32_t ticket = static_cast<uint32_t>(cqe.user_data >> 32);
-    const size_t idx = static_cast<uint32_t>(cqe.user_data);
-    auto it = pending.find(ticket);
-    if (it == pending.end() || idx >= it->second.count) return;
-    Pending& p = it->second;
-    const IoOp& op = p.ops[idx];
+    const size_t idx = static_cast<size_t>(cqe.user_data);
+    if (idx >= batch.count) return;
+    const IoOp& op = batch.ops[idx];
     if (cqe.res < 0) {
-      if (p.error.ok()) {
-        p.error = Status::IOError(
-            std::string(p.write ? "io_uring write: " : "io_uring read: ") +
+      if (batch.error.ok()) {
+        batch.error = Status::IOError(
+            std::string(batch.write ? "io_uring write: " : "io_uring read: ") +
             std::strerror(-cqe.res));
       }
     } else if (static_cast<uint32_t>(cqe.res) < op.len) {
-      const Status st = ExecuteSync(op, p.write, static_cast<uint32_t>(cqe.res));
-      if (p.error.ok() && !st.ok()) p.error = st;
+      const Status st =
+          ExecuteSync(op, batch.write, static_cast<uint32_t>(cqe.res));
+      if (batch.error.ok() && !st.ok()) batch.error = st;
     }
-    if (p.remaining > 0) --p.remaining;
   }
 
   /// Consumes available CQEs; with `blocking` set and nothing available,
@@ -481,7 +474,7 @@ struct DirectVolume::IoRing {
   }
 
   /// Blocks until everything in flight completed (best effort; gives up on
-  /// a broken ring). Used before failing a ticket so the kernel cannot
+  /// a broken ring). Used before failing a batch so the kernel cannot
   /// keep scribbling into buffers the caller is about to reuse.
   void DrainAllBestEffort() {
     while (in_flight > 0) {
@@ -492,23 +485,14 @@ struct DirectVolume::IoRing {
   }
 
   /// Pushes `count` ops as SQEs (in SQ-sized chunks, with CQ headroom
-  /// respected) and returns a ticket for WaitTicket. Async callers move
-  /// their ops in via `owned`; the synchronous path passes an alias
-  /// pointer and waits before touching its vector again.
-  Result<uint64_t> SubmitTicket(const IoOp* ops, size_t count, bool write,
-                                std::vector<IoOp> owned) {
+  /// respected) and blocks until every one has completed. Returns the
+  /// batch's first per-op error. `ops` must stay valid until Run returns.
+  Status Run(const IoOp* ops, size_t count, bool write) {
     if (down.load(std::memory_order_relaxed) ||
         broken.load(std::memory_order_relaxed)) {
       return Status::Internal("io_uring in indeterminate state");
     }
-    while (pending.count(next_ticket) != 0 || next_ticket == 0) ++next_ticket;
-    const uint32_t ticket = next_ticket++;
-    Pending& p = pending[ticket];
-    p.owned = std::move(owned);
-    p.ops = p.owned.empty() ? ops : p.owned.data();
-    p.count = count;
-    p.remaining = static_cast<unsigned>(count);
-    p.write = write;
+    batch = Batch{ops, count, write, Status::OK()};
 
     size_t done = 0;
     while (done < count) {
@@ -517,30 +501,27 @@ struct DirectVolume::IoRing {
       const unsigned cq_room = cq_entries > in_flight
                                    ? cq_entries - in_flight
                                    : 0;
-      const unsigned batch = static_cast<unsigned>(
+      const unsigned chunk = static_cast<unsigned>(
           std::min<size_t>({count - done, sq_entries, cq_room}));
-      if (batch == 0) {
+      if (chunk == 0) {
         const Status st = Reap(/*blocking=*/true);
         if (!st.ok()) {
           DrainAllBestEffort();
-          pending.erase(ticket);
           return st;
         }
         continue;
       }
       const unsigned tail = *sq_tail;
-      for (unsigned i = 0; i < batch; ++i) {
+      for (unsigned i = 0; i < chunk; ++i) {
         const unsigned idx = (tail + i) & *sq_mask;
-        FillSqe(&sqes[idx], p.ops[done + i], write,
-                (static_cast<uint64_t>(ticket) << 32) |
-                    static_cast<uint32_t>(done + i));
+        FillSqe(&sqes[idx], ops[done + i], write, done + i);
         sq_array[idx] = idx;
       }
-      __atomic_store_n(sq_tail, tail + batch, __ATOMIC_RELEASE);
+      __atomic_store_n(sq_tail, tail + chunk, __ATOMIC_RELEASE);
       unsigned submitted = 0;
       Status submit_error;
-      while (submitted < batch) {
-        const int ret = SysIoUringEnter(ring_fd, batch - submitted, 0, 0);
+      while (submitted < chunk) {
+        const int ret = SysIoUringEnter(ring_fd, chunk - submitted, 0, 0);
         if (ret < 0) {
           if (errno == EINTR) continue;
           if (errno == EBUSY || errno == EAGAIN) {
@@ -568,36 +549,20 @@ struct DirectVolume::IoRing {
         // scribbles on them.
         broken.store(true, std::memory_order_relaxed);
         DrainAllBestEffort();
-        pending.erase(ticket);
         return submit_error;
       }
-      done += batch;
+      done += chunk;
     }
-    return static_cast<uint64_t>(ticket);
-  }
 
-  /// Blocks until `ticket`'s completions all landed; returns its first
-  /// per-op error. Reaps (and credits) other tickets' completions along
-  /// the way.
-  Status WaitTicket(uint64_t ticket64) {
-    const uint32_t ticket = static_cast<uint32_t>(ticket64);
-    auto it = pending.find(ticket);
-    if (it == pending.end()) return Status::OK();
-    while (it->second.remaining > 0) {
+    // Everything is submitted; the only ops in flight are this batch's.
+    while (in_flight > 0) {
       if (broken.load(std::memory_order_relaxed) ||
           down.load(std::memory_order_relaxed)) {
-        pending.erase(it);
         return Status::IOError("io_uring broke with I/O in flight");
       }
-      const Status st = Reap(/*blocking=*/true);
-      if (!st.ok()) {
-        pending.erase(it);
-        return st;
-      }
+      STARFISH_RETURN_NOT_OK(Reap(/*blocking=*/true));
     }
-    Status result = std::move(it->second.error);
-    pending.erase(it);
-    return result;
+    return batch.error;
   }
 #else   // !STARFISH_HAVE_IO_URING
   std::atomic<bool> broken{false};
@@ -609,11 +574,7 @@ struct DirectVolume::IoRing {
   }
   void Shutdown() {}
   void MaybeSyncRegistrations(DirectVolume*) {}
-  Result<uint64_t> SubmitTicket(const IoOp*, size_t, bool,
-                                std::vector<IoOp>) {
-    return Status::Internal("io_uring support not compiled in");
-  }
-  Status WaitTicket(uint64_t) {
+  Status Run(const IoOp*, size_t, bool) {
     return Status::Internal("io_uring support not compiled in");
   }
 #endif  // STARFISH_HAVE_IO_URING
@@ -964,76 +925,13 @@ Status DirectVolume::Execute(const std::vector<IoOp>& ops, bool write) {
   IoRing* ring = AcquireRing();
   if (ring != nullptr) {
     ring->MaybeSyncRegistrations(this);
-    Result<uint64_t> ticket =
-        ring->SubmitTicket(ops.data(), ops.size(), write, {});
-    if (!ticket.ok()) return ticket.status();
-    return ring->WaitTicket(*ticket);
+    return ring->Run(ops.data(), ops.size(), write);
   }
 #endif
   for (const IoOp& op : ops) {
     STARFISH_RETURN_NOT_OK(ExecuteSync(op, write, 0));
   }
   return Status::OK();
-}
-
-bool DirectVolume::supports_async_read() const {
-  return ring_available_.load(std::memory_order_relaxed);
-}
-
-Result<uint64_t> DirectVolume::SubmitReadChained(
-    const std::vector<PageId>& ids, const std::vector<char*>& outs) {
-  if (ids.empty()) return Status::InvalidArgument("empty chained read");
-  if (ids.size() != outs.size()) {
-    return Status::InvalidArgument("chained read: ids/outs size mismatch");
-  }
-  IoRing* ring = AcquireRing();
-  bool async_ok = ring != nullptr;
-  if (async_ok) {
-    for (char* out : outs) {
-      // Async completion cannot patch a bounce back into the caller's
-      // buffer at a well-defined time; misaligned batches take the
-      // blocking path (which bounces internally) instead.
-      if (!DioEligible(out)) {
-        async_ok = false;
-        break;
-      }
-    }
-  }
-  if (!async_ok) {
-    STARFISH_RETURN_NOT_OK(ReadChained(ids, outs));
-    return uint64_t{0};  // completed sentinel, CompleteRead is a no-op
-  }
-  std::vector<IoOp> ops;
-  ops.reserve(ids.size());
-  const uint32_t page_size = options_.page_size;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    STARFISH_RETURN_NOT_OK(CheckRange(ids[i], 1));
-    uint64_t off = 0;
-    const int fd = FdOf(ids[i], &off);
-    ops.push_back(IoOp{fd, static_cast<uint32_t>(ids[i] / pages_per_extent_),
-                       off, outs[i], page_size});
-  }
-  ring->MaybeSyncRegistrations(this);
-  const size_t n = ops.size();
-  Result<uint64_t> ticket =
-      ring->SubmitTicket(nullptr, n, /*write=*/false, std::move(ops));
-  if (!ticket.ok()) return ticket.status();
-  // Metered at submit — one chained call, n page reads — exactly like the
-  // blocking ReadChained, so async prefetch pipelines keep the paper's
-  // call/page accounting.
-  stats_.CountRead(n);
-  return *ticket;
-}
-
-Status DirectVolume::CompleteRead(uint64_t ticket) {
-  if (ticket == 0) return Status::OK();
-  IoRing* ring = AcquireRing();
-  if (ring == nullptr) {
-    return Status::Internal(
-        "CompleteRead: calling thread has no usable ring (tickets are "
-        "thread-local)");
-  }
-  return ring->WaitTicket(ticket);
 }
 
 void DirectVolume::RegisterIoMemory(const void* base, size_t bytes) {

@@ -46,8 +46,9 @@
 /// degrades independently (registration refused -> plain SQEs; ring
 /// refused -> pread/pwrite), and the accessors (io_uring_active(),
 /// registered_buffers_active(), ...) report what is actually in effect.
-/// SubmitReadChained/CompleteRead expose the ring's native submit/wait
-/// split so prefetchers can keep a queue of reads in flight per thread.
+/// Every call submits its batch and waits for it before returning, so a
+/// ring never holds more than one batch; the Volume async pair keeps its
+/// synchronous base behaviour here.
 ///
 /// Alignment: O_DIRECT requires transfers aligned to the device's DMA
 /// granularity. Open() probes the filesystem (statx STATX_DIOALIGN where
@@ -116,15 +117,6 @@ class DirectVolume final : public PagedVolume {
                      const std::vector<char*>& outs) override;
   Status WriteChained(const std::vector<PageId>& ids,
                       const std::vector<const char*>& srcs) override;
-
-  /// Native submit/wait split over this thread's ring (volume.h contract:
-  /// tickets are thread-local and FIFO per thread). Falls back to a
-  /// blocking ReadChained — still returning a completed ticket — whenever
-  /// the calling thread has no usable ring or a buffer would need a bounce.
-  bool supports_async_read() const override;
-  Result<uint64_t> SubmitReadChained(const std::vector<PageId>& ids,
-                                     const std::vector<char*>& outs) override;
-  Status CompleteRead(uint64_t ticket) override;
 
   /// Registers `[base, base+bytes)` for fixed-buffer I/O on every ring
   /// (existing rings re-register lazily, before their next idle

@@ -157,34 +157,22 @@ class Volume {
   virtual Status ReadChainedZeroCopy(const std::vector<PageId>& ids,
                                      std::vector<const char*>* views) = 0;
 
-  /// True when SubmitReadChained actually overlaps device I/O with the
-  /// caller (DirectVolume with a working io_uring). When false the async
-  /// pair still works — SubmitReadChained performs the read synchronously
-  /// and CompleteRead is a no-op — so callers can use one code path and
-  /// only gain overlap where the backend provides it.
+  /// The async read pair: SubmitReadChained reads `ids[i]` into `outs[i]`
+  /// (each `page_size()` bytes) exactly like ReadChained — one read call,
+  /// `ids.size()` page reads — and returns the completed ticket 0;
+  /// CompleteRead is a no-op and supports_async_read() is false. No
+  /// backend in src/ overrides these and nothing in src/ calls them: every
+  /// model prefetches through the blocking BufferManager::Prefetch. They
+  /// stay only because perfbench's TracingVolume (perfbench/src/tracing.h)
+  /// overrides all three; dropping them needs the matching change there.
   virtual bool supports_async_read() const { return false; }
 
-  /// Asynchronous ReadChained: starts reading `ids[i]` into `outs[i]`
-  /// (each `page_size()` bytes) and returns a ticket to pass to
-  /// CompleteRead. The caller must keep every `outs[i]` buffer (and the
-  /// two vectors' page images, not the vectors themselves) untouched until
-  /// CompleteRead returns. Accounting is identical to ReadChained — one
-  /// read call and `ids.size()` page reads, counted at submit — so a
-  /// prefetch pipeline built on this meters exactly like the blocking one.
-  ///
-  /// Tickets are *thread-local*: submit and complete must happen on the
-  /// same thread, and each thread completes its tickets in FIFO order
-  /// (matching a per-thread submission ring). The base implementation
-  /// simply calls ReadChained and returns an already-completed ticket.
   virtual Result<uint64_t> SubmitReadChained(const std::vector<PageId>& ids,
                                              const std::vector<char*>& outs) {
     STARFISH_RETURN_NOT_OK(ReadChained(ids, outs));
-    return uint64_t{0};  // kCompletedTicket: CompleteRead is a no-op
+    return uint64_t{0};
   }
 
-  /// Waits until the submitted read behind `ticket` has fully landed in its
-  /// output buffers and returns its status. Must run on the submitting
-  /// thread; see SubmitReadChained.
   virtual Status CompleteRead(uint64_t ticket) {
     (void)ticket;
     return Status::OK();

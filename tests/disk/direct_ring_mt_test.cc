@@ -10,8 +10,6 @@
 //   - closing a volume closes every ring fd it handed out, even while the
 //     submitting threads are still alive — open/close cycles leak no fds
 //     (counted via /proc/self/fd);
-//   - a thread can keep several read batches in flight and complete them
-//     FIFO (the prefetcher's pattern);
 //   - the accessors (io_uring_active, ring_count, registered_*_active)
 //     report what is actually in effect.
 //
@@ -104,9 +102,9 @@ class DirectRingMtTest : public ::testing::Test {
     return disk;
   }
 
-  /// One submit/complete round against `disk` from the calling thread:
-  /// four pages through the async pair into an aligned staging buffer,
-  /// byte-checked. Returns false on any failure (EXPECTs fire too).
+  /// One chained read against `disk` from the calling thread (submitted
+  /// and completed on its ring): four pages into an aligned staging
+  /// buffer, byte-checked. Returns false on any failure (EXPECTs fire too).
   static bool SubmitRound(DirectVolume* disk, AlignedBuffer* staging) {
     const uint32_t page = disk->page_size();
     if (!staging->Reserve(4 * page,
@@ -117,10 +115,7 @@ class DirectRingMtTest : public ::testing::Test {
     for (size_t i = 0; i < ids.size(); ++i) {
       outs.push_back(staging->data() + i * page);
     }
-    auto ticket_or = disk->SubmitReadChained(ids, outs);
-    EXPECT_TRUE(ticket_or.ok()) << ticket_or.status().ToString();
-    if (!ticket_or.ok()) return false;
-    Status done = disk->CompleteRead(ticket_or.value());
+    Status done = disk->ReadChained(ids, outs);
     EXPECT_TRUE(done.ok()) << done.ToString();
     if (!done.ok()) return false;
     for (size_t i = 0; i < ids.size(); ++i) {
@@ -232,39 +227,6 @@ TEST_F(DirectRingMtTest, OpenSubmitCloseCyclesLeakNoFds) {
   EXPECT_EQ(OpenFdCount(), fds_before);
 }
 
-// The prefetcher's pattern: one thread keeps several batches in flight and
-// completes them oldest-first. Tickets are FIFO per thread; each batch
-// lands in its own staging area and every byte must be right.
-TEST_F(DirectRingMtTest, MultipleOutstandingTicketsCompleteFifo) {
-  auto disk = OpenSeeded();
-  ASSERT_NE(disk, nullptr);
-  const uint32_t page = disk->page_size();
-  constexpr size_t kBatches = 3;
-  const std::vector<std::vector<PageId>> batches = {
-      {0, 3}, {7, 4}, {1, 6}};
-
-  AlignedBuffer staging;
-  ASSERT_TRUE(staging.Reserve(
-      kBatches * 2 * page,
-      std::max<size_t>(4096, disk->io_buffer_alignment())));
-  std::vector<uint64_t> tickets;
-  for (size_t b = 0; b < kBatches; ++b) {
-    std::vector<char*> outs = {staging.data() + (2 * b) * page,
-                               staging.data() + (2 * b + 1) * page};
-    auto ticket_or = disk->SubmitReadChained(batches[b], outs);
-    ASSERT_TRUE(ticket_or.ok()) << ticket_or.status().ToString();
-    tickets.push_back(ticket_or.value());
-  }
-  for (size_t b = 0; b < kBatches; ++b) {
-    ASSERT_TRUE(disk->CompleteRead(tickets[b]).ok()) << "batch " << b;
-    for (size_t i = 0; i < 2; ++i) {
-      const char want = static_cast<char>('a' + batches[b][i]);
-      EXPECT_EQ(staging.data()[(2 * b + i) * page], want);
-      EXPECT_EQ(staging.data()[(2 * b + i + 1) * page - 1], want);
-    }
-  }
-}
-
 // The registry grows one ring per distinct submitting thread, never more,
 // and the accessors describe the effective configuration.
 TEST_F(DirectRingMtTest, PerThreadModeGrowsOneRingPerThread) {
@@ -319,9 +281,7 @@ TEST_F(DirectRingMtTest, RegisteredBufferStateFollowsRegistration) {
   disk->RegisterIoMemory(arena.data(), 4 * page);
 
   std::vector<char*> outs = {arena.data(), arena.data() + page};
-  auto ticket_or = disk->SubmitReadChained({2, 7}, outs);
-  ASSERT_TRUE(ticket_or.ok());
-  ASSERT_TRUE(disk->CompleteRead(ticket_or.value()).ok());
+  ASSERT_TRUE(disk->ReadChained({2, 7}, outs).ok());
   EXPECT_EQ(arena.data()[0], 'c');
   EXPECT_EQ(arena.data()[page], 'h');
   // The registration may still be refused (RLIMIT_MEMLOCK); the accessor
@@ -359,9 +319,8 @@ TEST_F(DirectRingMtTest, ConcurrentSubmitWriteRegisterStress) {
           failures.fetch_add(1, std::memory_order_relaxed);
           return;
         }
-        auto ticket_or = disk->SubmitReadChained(
-            {0, 3}, {staging.data(), staging.data() + page});
-        if (!ticket_or.ok() || !disk->CompleteRead(ticket_or.value()).ok() ||
+        if (!disk->ReadChained({0, 3}, {staging.data(), staging.data() + page})
+                 .ok() ||
             staging.data()[0] != 'a' || staging.data()[page] != 'd') {
           failures.fetch_add(1, std::memory_order_relaxed);
         }

@@ -25,6 +25,7 @@
 #include "disk/mmap_volume.h"
 #include "disk/volume_meta.h"
 #include "tools/fsck.h"
+#include "util/aligned_buffer.h"
 
 namespace starfish {
 namespace {
@@ -252,6 +253,59 @@ TEST_F(DirectVolumeTest, BatchesLargerThanRingDepth) {
   std::vector<char> back(n * 512);
   ASSERT_TRUE(disk->ReadRun(0, n, back.data()).ok());
   EXPECT_EQ(std::memcmp(back.data(), data.data(), back.size()), 0);
+}
+
+// The async read pair keeps the base-class contract on a ring-backed
+// direct volume: SubmitReadChained returns the completed ticket 0 with the
+// bytes already in place, metered exactly like a blocking ReadChained.
+TEST_F(DirectVolumeTest, SubmitReadChainedCompletesBeforeReturning) {
+  auto disk_or = DirectVolume::Open(dir_, Tiny());
+  ASSERT_TRUE(disk_or.ok());
+  auto disk = std::move(disk_or).value();
+  if (!disk->io_uring_active()) {
+    GTEST_SKIP() << "kernel has no usable io_uring";
+  }
+  EXPECT_FALSE(disk->supports_async_read());
+  ASSERT_TRUE(disk->AllocateRun(9).ok());  // three extents
+  std::vector<char> page(512);
+  for (PageId id = 0; id < 9; ++id) {
+    std::fill(page.begin(), page.end(), static_cast<char>('a' + id));
+    ASSERT_TRUE(disk->WriteRun(id, 1, page.data()).ok());
+  }
+  const std::vector<PageId> ids = {7, 0, 4, 8};  // crosses extents, unsorted
+  const size_t n = ids.size();
+
+  // Aligned destinations, so the ring reads straight into them.
+  AlignedBuffer staging;
+  ASSERT_TRUE(staging.Reserve(2 * n * 512, 4096));
+  std::vector<char*> blocking_outs, async_outs;
+  for (size_t i = 0; i < n; ++i) {
+    blocking_outs.push_back(staging.data() + i * 512);
+    async_outs.push_back(staging.data() + (n + i) * 512);
+  }
+
+  const IoStats before_blocking = disk->stats();
+  ASSERT_TRUE(disk->ReadChained(ids, blocking_outs).ok());
+  const IoStats blocking = disk->stats().Since(before_blocking);
+
+  const IoStats before_async = disk->stats();
+  auto ticket_or = disk->SubmitReadChained(ids, async_outs);
+  ASSERT_TRUE(ticket_or.ok()) << ticket_or.status().ToString();
+  ASSERT_EQ(ticket_or.value(), 0u);
+  const IoStats async = disk->stats().Since(before_async);
+
+  // No CompleteRead yet: the bytes have already landed.
+  for (size_t i = 0; i < n; ++i) {
+    const char want = static_cast<char>('a' + ids[i]);
+    EXPECT_EQ(async_outs[i][0], want) << "page " << ids[i];
+    EXPECT_EQ(async_outs[i][511], want) << "page " << ids[i];
+  }
+  EXPECT_EQ(std::memcmp(async_outs[0], blocking_outs[0], n * 512), 0);
+  EXPECT_EQ(async.read_calls, blocking.read_calls);
+  EXPECT_EQ(async.pages_read, blocking.pages_read);
+  EXPECT_EQ(async.write_calls, 0u);
+  EXPECT_EQ(async.pages_written, 0u);
+  EXPECT_TRUE(disk->CompleteRead(ticket_or.value()).ok());
 }
 
 TEST_F(DirectVolumeTest, StrayExtentFilesRemovedOnFreshOpen) {

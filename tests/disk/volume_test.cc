@@ -451,9 +451,9 @@ TEST_P(VolumeTest, DefaultGeometryLargeVolumeRoundTrips) {
 
 // The async read pair is part of the Volume interface: every backend must
 // serve SubmitReadChained/CompleteRead with bytes and accounting identical
-// to a blocking ReadChained, whether it really overlaps (direct + ring) or
-// falls back to the base implementation (everything else — which completes
-// inside Submit and returns the 0 "already done" ticket).
+// to a blocking ReadChained. Every backend, direct included, runs the base
+// implementation, which completes inside Submit and returns the 0 "already
+// done" ticket.
 TEST_P(VolumeTest, AsyncReadChainedMatchesBlocking) {
   auto disk = Make(TinyExtents());
   const uint32_t page = disk->page_size();
@@ -495,8 +495,8 @@ TEST_P(VolumeTest, AsyncReadChainedMatchesBlocking) {
 }
 
 // Misaligned destination buffers must be served through the async entry
-// point too (the direct backend degrades that submit to a blocking bounce
-// read and hands back the completed ticket) — callers never need to care.
+// point too (on the direct backend the ReadChained underneath bounces
+// them) — callers never need to care.
 TEST_P(VolumeTest, AsyncReadChainedToleratesMisalignedBuffers) {
   auto disk = Make(TinyExtents());
   const uint32_t page = disk->page_size();

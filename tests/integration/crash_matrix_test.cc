@@ -51,6 +51,7 @@
 #include "disk/direct_volume.h"
 #include "disk/fault_volume.h"
 #include "tools/fsck.h"
+#include "wal/wal_format.h"
 
 namespace starfish {
 namespace {
@@ -393,8 +394,8 @@ TEST_P(CrashMatrixTest, CommitPointIsOrderedAfterSync) {
 //     entries (dropped by invalidation) held v1 — if any leaked across the
 //     reopen, the WAL-replay store (recovered state v2) would serve v1;
 //   * subset Y is Replaced to v2 and re-read: its pre-crash entries held
-//     v2 — if any leaked, the paranoid scrub store (log discarded,
-//     recovered state v1) would serve v2.
+//     v2 — if any leaked, the scrub store (log moved aside, recovered
+//     state v1) would serve v2.
 //
 // Page writes are buffered by FaultVolume (they vanish at the snapshot,
 // like a real power loss), while wal_sync=kAlways makes every Replace's
@@ -484,16 +485,16 @@ TEST_P(CrashMatrixTest, ObjCacheNeverServesPreCrashAssembly) {
     }
   }
 
-  // Path 2 — paranoid scrub: the log is discarded, recovered state is the
-  // v1 checkpoint for EVERY object (subset Y's pre-crash v2 entries are
-  // the hazard here).
+  // Path 2 — scrub: the log is moved aside (the operator's procedure for
+  // a log they do not trust), so recovered state is the v1 checkpoint for
+  // EVERY object (subset Y's pre-crash v2 entries are the hazard here).
   {
+    ASSERT_TRUE(std::filesystem::remove(WalPath(scrub_dir)));
     StoreOptions options;
     options.model = Model();
     options.backend = Backend();
     options.path = scrub_dir;
     options.objcache.enabled = true;
-    options.paranoid_open = true;
     auto store_or = ComplexObjectStore::Open(db_->schema(), options);
     ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
     auto store = std::move(store_or).value();

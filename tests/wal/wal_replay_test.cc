@@ -220,31 +220,12 @@ TEST_P(WalReplayTest, InvalidHeaderFallsBackToCommittedState) {
   VerifyVariant(kCommitted, 0, "invalid header");
 }
 
+// A missing log is also the operator's escape hatch: moving wal.log aside
+// before the open makes the store ignore even a pristine log tail and
+// reopen to exactly the committed checkpoint.
 TEST_P(WalReplayTest, MissingLogFallsBackToCommittedState) {
   MakeVariant(std::string_view());
   VerifyVariant(kCommitted, 0, "missing log");
-}
-
-// paranoid_open bypasses replay even with a pristine log: the scrub-based
-// open is the WAL's escape hatch and must keep working (it recovers the
-// committed state; the log tail is deliberately discarded).
-TEST_P(WalReplayTest, ParanoidOpenScrubsInsteadOfReplaying) {
-  MakeVariant(log_bytes_);
-  StoreOptions options;
-  options.model = GetParam();
-  options.backend = VolumeKind::kMmap;
-  options.path = variant_dir_;
-  options.paranoid_open = true;
-  {
-    auto store_or = ComplexObjectStore::Open(db_->schema(), options);
-    ASSERT_TRUE(store_or.ok()) << store_or.status().ToString();
-    auto store = std::move(store_or).value();
-    EXPECT_EQ(store->replayed_wal_records(), 0u);
-    EXPECT_EQ(store->model()->object_count(), kCommitted);
-  }
-  auto report_or = RunFsck(variant_dir_);
-  ASSERT_TRUE(report_or.ok());
-  EXPECT_TRUE(report_or.value().clean()) << report_or.value().ToString();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, WalReplayTest,
